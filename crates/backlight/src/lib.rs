@@ -1,4 +1,11 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! Zoned backlighting (Section 4 of the paper).
 //!
 //! No display with independently-dimmable backlight zones existed, so the

@@ -1,4 +1,11 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! Benchmark support: a dependency-free timing harness for the per-figure
 //! benches in `benches/`, and [`Stopwatch`] — the workspace's single
 //! sanctioned wall-clock source.
@@ -24,10 +31,21 @@
 /// The workspace's single sanctioned wall-clock escape hatch (simlint
 /// D1): measures real elapsed time for benches and CLI progress lines.
 /// Simulation code must never touch it — simulated time is `SimTime`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Copy, Debug)]
 pub struct Stopwatch {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this type IS the sanctioned wall-clock source"
+    )]
     // simlint: allow(D1) — this type IS the sanctioned wall-clock source
     t0: std::time::Instant,
+}
+
+// Written out because `derive(Clone)` names the field's type again.
+impl Clone for Stopwatch {
+    fn clone(&self) -> Self {
+        *self
+    }
 }
 
 impl Default for Stopwatch {
@@ -38,6 +56,11 @@ impl Default for Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now (in real time).
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the one place the workspace reads the wall clock"
+    )]
     pub fn start() -> Self {
         Stopwatch {
             // simlint: allow(D1) — the one place the workspace reads the wall clock

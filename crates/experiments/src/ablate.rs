@@ -72,6 +72,10 @@ fn summarize(variant: &'static str, run: &GoalRun) -> AblationRow {
         .iter()
         .map(|a| run.adaptations_of(a))
         .sum();
+    #[expect(
+        clippy::expect_used,
+        reason = "the goalrig machine always registers the netscape workload"
+    )]
     let web = run
         .report
         .fidelity

@@ -81,6 +81,14 @@ pub struct Chaos {
 impl Chaos {
     /// The cell for an intensity/controller pair.
     pub fn cell(&self, intensity: f64, hardened: bool) -> &ChaosCell {
+        #[expect(
+            clippy::float_cmp,
+            reason = "intensities are lookup keys copied from the sweep grid"
+        )]
+        #[expect(
+            clippy::expect_used,
+            reason = "run_sweep populates every (intensity, hardened) cell"
+        )]
         self.cells
             .iter()
             .find(|c| c.intensity == intensity && c.hardened == hardened)

@@ -89,6 +89,10 @@ impl Fig16 {
             .iter()
             .find(|r| r.app == app && r.think_s == think_s)
             .unwrap_or_else(|| panic!("no row ({app}, {think_s:?})"));
+        #[expect(
+            clippy::expect_used,
+            reason = "rows carry a band for every condition by construction"
+        )]
         row.bands
             .iter()
             .find(|(rc, _, _)| *rc == c)

@@ -49,6 +49,7 @@ impl Fig19 {
     ///
     /// Panics if the goal was not run.
     pub fn trace(&self, goal_s: u64) -> &GoalTrace {
+        #[expect(clippy::expect_used, reason = "documented # Panics accessor")]
         self.traces
             .iter()
             .find(|t| t.goal_s == goal_s)

@@ -50,6 +50,7 @@ impl Fig21 {
     ///
     /// Panics if absent.
     pub fn row(&self, half_life: f64) -> &HalfLifeRow {
+        #[expect(clippy::expect_used, reason = "documented # Panics accessor")]
         self.rows
             .iter()
             .find(|r| (r.half_life - half_life).abs() < 1e-12)

@@ -95,8 +95,16 @@ pub fn run_trials(
     simcore::par::map_stats(&cfg, &streams, |_, stream| {
         let mut rng = stream.clone();
         let machine = build(&mut rng);
+        #[expect(
+            clippy::expect_used,
+            reason = "adopt/run on a fresh session cannot fail"
+        )]
         // simlint: allow(D5) — adopt/run on a fresh session cannot fail
         let mut session = Session::adopt(machine).expect("adopt fresh machine");
+        #[expect(
+            clippy::expect_used,
+            reason = "first run of a fresh session cannot fail"
+        )]
         // simlint: allow(D5) — first run of a fresh session cannot fail
         session.run_to_completion().expect("run adopted session")
     })

@@ -31,6 +31,7 @@ pub fn run(trials: &Trials) -> Headline {
         let mut sum = 0.0;
         let mut n = 0usize;
         for row in &f.rows {
+            #[expect(clippy::expect_used, reason = "fig16 rows carry every condition")]
             let (bl, bh) = row
                 .bands
                 .iter()
@@ -40,6 +41,10 @@ pub fn run(trials: &Trials) -> Headline {
                 .expect("condition");
             lo = lo.min(1.0 - bh);
             hi = hi.max(1.0 - bl);
+            #[expect(
+                clippy::unwrap_used,
+                reason = "fig16 rows carry every condition's mean"
+            )]
             // simlint: allow(D5) — fig16 rows carry every condition's mean
             let mean = row.means.iter().find(|(rc, _)| *rc == c).unwrap().1;
             sum += 1.0 - mean;

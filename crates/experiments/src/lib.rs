@@ -1,4 +1,11 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! Reproduction harness: one module per table/figure of the paper.
 //!
 //! Every module exposes `run(&Trials) -> <figure-specific result>` plus a

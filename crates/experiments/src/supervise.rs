@@ -106,6 +106,10 @@ pub struct Supervise {
 impl Supervise {
     /// The cell for a (k, supervised) pair.
     pub fn cell(&self, k: usize, supervised: bool) -> &SuperviseCell {
+        #[expect(
+            clippy::expect_used,
+            reason = "the sweep populates every (k, supervised) cell"
+        )]
         self.cells
             .iter()
             .find(|c| c.k == k && c.supervised == supervised)
@@ -220,8 +224,16 @@ pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
 
 fn run_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRun {
     let rig = build_one(k, supervised, rng);
+    #[expect(
+        clippy::expect_used,
+        reason = "adopt/run on a fresh session cannot fail"
+    )]
     // simlint: allow(D5) — adopt/run on a fresh session cannot fail
     let mut session = simserve::Session::adopt(rig.machine).expect("adopt fresh machine");
+    #[expect(
+        clippy::expect_used,
+        reason = "first run of a fresh session cannot fail"
+    )]
     // simlint: allow(D5) — first run of a fresh session cannot fail
     let report = session.run_until(rig.horizon).expect("run adopted session");
     SuperRun {

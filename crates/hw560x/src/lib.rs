@@ -1,4 +1,11 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! Power-state model of the paper's mobile client.
 //!
 //! All measurements in the paper were taken on a 233 MHz Pentium IBM

@@ -914,6 +914,10 @@ impl Machine {
                     break;
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "peek_time just returned Some; the queue cannot be empty here"
+            )]
             // simlint: allow(D5) — peek_time just returned Some; the queue cannot be empty here
             let (t, ev) = self.queue.pop().expect("peeked event vanished");
             self.advance_to(t);
@@ -1749,6 +1753,10 @@ impl Machine {
     }
 
     fn on_cpu_done(&mut self) {
+        #[expect(
+            clippy::expect_used,
+            reason = "CpuDone is only scheduled while a slice is running"
+        )]
         // simlint: allow(D5) — CpuDone is only scheduled while a slice is running
         let (src, slice) = self.current.take().expect("CpuDone without current");
         match src {
@@ -1770,6 +1778,10 @@ impl Machine {
                 }
             }
             Source::XServer => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "scheduler invariant: the X source only runs with queued jobs"
+                )]
                 let front = self
                     .x_queue
                     .front_mut()
@@ -1908,6 +1920,10 @@ impl Machine {
             name: self.procs[pid.0].workload.name(),
             attempt: self.procs[pid.0].attempts as u64 + 1,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "RpcTimeout events are only scheduled when a retry policy exists"
+        )]
         // simlint: allow(D5) — RpcTimeout events are only scheduled when a retry policy exists
         let policy = self.cfg.faults.rpc.expect("RpcTimeout without a policy");
         let backoff = policy.backoff_after(self.procs[pid.0].attempts);
@@ -1938,6 +1954,10 @@ impl Machine {
         self.link_event = None;
         self.link.advance(self.clock);
         while let Some(flow) = self.link.take_completed() {
+            #[expect(
+                clippy::expect_used,
+                reason = "every completed flow was registered by start_flow"
+            )]
             // simlint: allow(D5) — every completed flow was registered by start_flow
             let ctx = self.flows.remove(&flow).expect("completed unknown flow");
             let pid = ctx.pid;
@@ -1997,6 +2017,10 @@ impl Machine {
     // ---- Hooks -------------------------------------------------------------
 
     fn on_hook_tick(&mut self, i: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "hooks are leased out one tick at a time; re-entry is a bug worth crashing on"
+        )]
         // simlint: allow(D5) — hooks are leased out one tick at a time; re-entry is a bug worth crashing on
         let mut hook = self.hooks[i].hook.take().expect("hook re-entered");
         let now = self.clock;

@@ -4,6 +4,11 @@
 //! mid-transfer, heavy multiprogramming, controllers that thrash, and the
 //! bandwidth estimator under contention.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "tests assert the exact values a deterministic run reproduces"
+)]
+
 use hw560x::{DisplayState, EnergySource, PmPolicy};
 use machine::workload::ScriptedWorkload;
 use machine::{

@@ -3,6 +3,11 @@
 //! outages, resume with their bytes intact, and never gain or lose
 //! traffic to bookkeeping.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "tests assert the exact values a deterministic run reproduces"
+)]
+
 use netsim::{LinkFaultTimeline, SharedLink};
 use simcore::fault::{FaultSchedule, FaultWindow};
 use simcore::{SimDuration, SimTime};

@@ -49,6 +49,10 @@ impl FidelitySpace {
                 l.name
             );
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "an empty fidelity ladder is a construction bug; this panic is the validation"
+        )]
         // simlint: allow(D5) — an empty fidelity ladder is a construction bug; this panic is the validation
         let top = levels.last().expect("non-empty");
         assert!(

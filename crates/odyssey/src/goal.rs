@@ -606,6 +606,10 @@ impl ControlHook for GoalController {
                     if let Some(h) = self.cfg.hardening {
                         let raw = p;
                         p = p.clamp(h.power_clamp_w.0, h.power_clamp_w.1);
+                        #[expect(
+                            clippy::float_cmp,
+                            reason = "asks whether clamp moved the value at all"
+                        )]
                         if p != raw {
                             view.emit_trace(TraceEvent::GoalClamp {
                                 raw_power_w: raw,

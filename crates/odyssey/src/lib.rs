@@ -1,4 +1,11 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! Odyssey: energy-aware adaptation (the paper's primary contribution).
 //!
 //! Odyssey mediates between applications that can trade *data fidelity*

@@ -58,6 +58,10 @@ impl PriorityTable {
     ///
     /// Panics if the pid is absent or the rank is out of range.
     pub fn set_rank(&mut self, pid: Pid, rank: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract of set_rank"
+        )]
         // simlint: allow(D5) — documented # Panics contract of set_rank
         let cur = self.rank(pid).expect("pid not in priority table");
         assert!(rank < self.order.len(), "rank out of range");

@@ -1,4 +1,11 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! PowerScope: statistical energy profiling (Section 2.1 of the paper).
 //!
 //! The original PowerScope pairs a digital multimeter (sampling the current

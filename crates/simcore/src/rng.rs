@@ -112,7 +112,8 @@ impl SimRng {
     /// Panics if `lo > hi` or either bound is not finite.
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
-        if lo == hi {
+        // `lo <= hi` holds, so this is the empty range `lo == hi`.
+        if hi <= lo {
             return lo;
         }
         let v = lo + (hi - lo) * self.next_f64();

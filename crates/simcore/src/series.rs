@@ -143,6 +143,10 @@ impl TimeSeries {
     /// Fidelity timelines use this to count adaptations, as in Figure 20's
     /// "Number of Adaptations" columns.
     pub fn change_count(&self) -> usize {
+        #[expect(
+            clippy::float_cmp,
+            reason = "any difference between adjacent values is a change"
+        )]
         self.points.windows(2).filter(|w| w[0].1 != w[1].1).count()
     }
 }

@@ -81,6 +81,10 @@ impl SimTime {
     /// Panics if `earlier` is after `self`; simulation clocks never run
     /// backwards, so this indicates a scheduling bug.
     pub fn since(self, earlier: SimTime) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "overflow guard; panicking is since()'s documented contract"
+        )]
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -205,6 +209,10 @@ impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
     fn add(self, rhs: SimDuration) -> SimTime {
+        #[expect(
+            clippy::expect_used,
+            reason = "overflow guard; Add's documented panic contract"
+        )]
         SimTime(
             self.0
                 .checked_add(rhs.0)
@@ -224,6 +232,10 @@ impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
     fn sub(self, rhs: SimDuration) -> SimTime {
+        #[expect(
+            clippy::expect_used,
+            reason = "underflow guard; Sub's documented panic contract"
+        )]
         SimTime(
             self.0
                 .checked_sub(rhs.0)
@@ -252,6 +264,10 @@ impl Add for SimDuration {
     type Output = SimDuration;
 
     fn add(self, rhs: SimDuration) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "overflow guard; Add's documented panic contract"
+        )]
         SimDuration(
             self.0
                 .checked_add(rhs.0)
@@ -271,6 +287,10 @@ impl Sub for SimDuration {
     type Output = SimDuration;
 
     fn sub(self, rhs: SimDuration) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "underflow guard; Sub's documented panic contract"
+        )]
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
@@ -290,6 +310,10 @@ impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
     fn mul(self, rhs: u64) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "overflow guard; Mul's documented panic contract"
+        )]
         SimDuration(
             self.0
                 .checked_mul(rhs)

@@ -1065,7 +1065,7 @@ fn find_pub_fn(trimmed: &str) -> Option<usize> {
 // ---------------------------------------------------------------------------
 
 /// Directories never scanned.
-const SKIP_DIRS: [&str; 4] = ["target", ".git", "results", ".github"];
+const SKIP_DIRS: [&str; 5] = ["target", ".git", "results", ".github", "lint_parity"];
 
 fn collect_rs(dir: &Path, out: &mut BTreeSet<PathBuf>) -> Result<(), String> {
     let entries =

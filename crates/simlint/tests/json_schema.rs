@@ -7,6 +7,11 @@
 //! U1, W0), which also proves every rule survives the trip through the
 //! workspace scanner, not just through per-file unit fixtures.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test on a broken fixture"
+)]
+
 use std::path::PathBuf;
 
 /// One finding per rule: D1 (line 1), D2 (2), D3 (3), D4 (4), D5 (5),

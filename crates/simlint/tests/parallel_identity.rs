@@ -3,6 +3,11 @@
 //! and the U1 pass fan across simpar workers, and the merge is
 //! index-ordered — so `--threads 8` may only be faster, never different.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test on a broken fixture"
+)]
+
 use std::path::PathBuf;
 
 /// A fixture tree wide enough that the per-file fan-out actually

@@ -86,6 +86,10 @@ const GRAIN_CHUNKS_PER_WORKER: usize = 8;
 
 /// Worker threads to use by default: the machine's available parallelism
 /// (1 when it cannot be determined).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "simpar is the one crate that sizes and spawns threads"
+)]
 pub fn available_threads() -> usize {
     // Cached: the pool consults this on every dispatch and the answer
     // cannot change under a pinned-affinity process.
@@ -284,6 +288,10 @@ where
     // chunk and the final join.
     let cursor = AtomicUsize::new(0);
     type Runs<R> = Vec<(usize, Vec<R>)>;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "simpar is the one crate that sizes and spawns threads"
+    )]
     let worker_outputs: Vec<(Runs<R>, usize, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {

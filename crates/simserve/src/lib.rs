@@ -1,4 +1,16 @@
 #![forbid(unsafe_code)]
+// The serving layer refuses bad input, it never panics: no unwraps and
+// no unchecked indexing outside tests, and `forbid` makes both
+// unwaivable here.
+#![forbid(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(not(test), forbid(clippy::indexing_slicing))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert the exact values a deterministic run reproduces"
+    )
+)]
 //! Always-on serving mode for the energy-adaptation control plane.
 //!
 //! The paper's viceroy is a long-lived OS component, not a batch job.

@@ -11,6 +11,11 @@
 //!
 //! Run with: `cargo run --release --example bandwidth_adaptation`
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops on a broken setup rather than handling it"
+)]
+
 use energy_adaptation::apps::datasets::{VideoClip, VIDEO_CLIPS};
 use energy_adaptation::apps::VideoPlayer;
 use energy_adaptation::machine::workload::ScriptedWorkload;

@@ -16,6 +16,9 @@ cargo fmt --check
 echo "== lint: clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== lint: clippy enforces the retired simlint line rules (lint parity) =="
+cargo test -q -p simlint --test lint_parity
+
 echo "== lint: simlint (determinism, dimensional-analysis & purity rules) =="
 cargo run --release -q -p simlint
 

@@ -8,6 +8,11 @@
 //! journal behind, and the resumed run reproduces the uninterrupted
 //! run's final state bit for bit.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test on a broken fixture"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

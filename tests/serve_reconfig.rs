@@ -9,6 +9,11 @@
 //! budget, reconfiguration during an app quarantine, and a dead-letter
 //! flood that must escalate into the Supervisor's strike ladder.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test on a broken fixture"
+)]
+
 use energy_adaptation::experiments::serve::build_session;
 use energy_adaptation::simcore::{SimDuration, SimTime};
 use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session};
