@@ -37,7 +37,6 @@ pub struct Stopwatch {
         clippy::disallowed_types,
         reason = "this type IS the sanctioned wall-clock source"
     )]
-    // simlint: allow(D1) — this type IS the sanctioned wall-clock source
     t0: std::time::Instant,
 }
 
@@ -63,7 +62,6 @@ impl Stopwatch {
     )]
     pub fn start() -> Self {
         Stopwatch {
-            // simlint: allow(D1) — the one place the workspace reads the wall clock
             t0: std::time::Instant::now(),
         }
     }

@@ -81,7 +81,6 @@ fn summarize(variant: &'static str, run: &GoalRun) -> AblationRow {
         .fidelity
         .iter()
         .find(|s| s.name() == "netscape")
-        // simlint: allow(D5) — the goalrig machine always registers the netscape workload
         .expect("web series");
     let pts = web.resample(SimDuration::from_secs(10), run.report.end);
     let web_mean_level = if pts.is_empty() {

@@ -92,7 +92,6 @@ impl Chaos {
         self.cells
             .iter()
             .find(|c| c.intensity == intensity && c.hardened == hardened)
-            // simlint: allow(D5) — run_sweep populates every (intensity, hardened) cell
             .expect("cell present")
     }
 }

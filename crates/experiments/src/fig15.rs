@@ -91,7 +91,6 @@ impl Fig15 {
             .pairs
             .iter()
             .find(|(r, _, _)| *r == regime)
-            // simlint: allow(D5) — run() always measures both regimes
             .expect("regime present");
         conc.mean / iso.mean - 1.0
     }

@@ -97,7 +97,6 @@ impl Fig16 {
             .iter()
             .find(|(rc, _, _)| *rc == c)
             .map(|(_, lo, hi)| (*lo, *hi))
-            // simlint: allow(D5) — rows carry a band for every condition by construction
             .expect("condition present")
     }
 

@@ -53,7 +53,6 @@ impl Fig19 {
         self.traces
             .iter()
             .find(|t| t.goal_s == goal_s)
-            // simlint: allow(D5) — documented # Panics accessor
             .expect("goal present")
     }
 }

@@ -54,7 +54,6 @@ impl Fig21 {
         self.rows
             .iter()
             .find(|r| (r.half_life - half_life).abs() < 1e-12)
-            // simlint: allow(D5) — documented # Panics accessor
             .expect("half-life present")
     }
 }

@@ -156,12 +156,10 @@ pub fn run_bursty_goal(cfg: GoalConfig, rng: &mut SimRng) -> GoalRun {
         clippy::unwrap_used,
         reason = "the loop above adds a pid for every BurstyRole"
     )]
-    // simlint: allow(D5) — the loop above adds a pid for every BurstyRole
     let pid_of = |r: BurstyRole| pids.iter().find(|(x, _)| *x == r).unwrap().1;
     #[expect(clippy::expect_used, reason = "BurstyRole::all() includes Video")]
     let priorities = PriorityTable::new(vec![
         pid_of(BurstyRole::Speech),
-        // simlint: allow(D5) — BurstyRole::all() includes Video
         video_pid.expect("video present"),
         pid_of(BurstyRole::Map),
         pid_of(BurstyRole::Web),
@@ -187,13 +185,11 @@ pub fn finish(
         clippy::expect_used,
         reason = "adopt/run on a fresh session cannot fail"
     )]
-    // simlint: allow(D5) — adopt/run on a fresh session cannot fail
     let mut session = simserve::Session::adopt(m).expect("adopt fresh machine");
     #[expect(
         clippy::expect_used,
         reason = "first run of a fresh session cannot fail"
     )]
-    // simlint: allow(D5) — first run of a fresh session cannot fail
     let report = session.run_until(horizon).expect("run adopted session");
     GoalRun {
         outcome: handle.outcome(),

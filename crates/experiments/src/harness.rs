@@ -99,13 +99,11 @@ pub fn run_trials(
             clippy::expect_used,
             reason = "adopt/run on a fresh session cannot fail"
         )]
-        // simlint: allow(D5) — adopt/run on a fresh session cannot fail
         let mut session = Session::adopt(machine).expect("adopt fresh machine");
         #[expect(
             clippy::expect_used,
             reason = "first run of a fresh session cannot fail"
         )]
-        // simlint: allow(D5) — first run of a fresh session cannot fail
         session.run_to_completion().expect("run adopted session")
     })
     .0

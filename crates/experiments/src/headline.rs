@@ -37,7 +37,6 @@ pub fn run(trials: &Trials) -> Headline {
                 .iter()
                 .find(|(rc, _, _)| *rc == c)
                 .map(|(_, l, h)| (*l, *h))
-                // simlint: allow(D5) — fig16 rows carry every condition
                 .expect("condition");
             lo = lo.min(1.0 - bh);
             hi = hi.max(1.0 - bl);
@@ -45,7 +44,6 @@ pub fn run(trials: &Trials) -> Headline {
                 clippy::unwrap_used,
                 reason = "fig16 rows carry every condition's mean"
             )]
-            // simlint: allow(D5) — fig16 rows carry every condition's mean
             let mean = row.means.iter().find(|(rc, _)| *rc == c).unwrap().1;
             sum += 1.0 - mean;
             n += 1;

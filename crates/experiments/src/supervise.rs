@@ -113,7 +113,6 @@ impl Supervise {
         self.cells
             .iter()
             .find(|c| c.k == k && c.supervised == supervised)
-            // simlint: allow(D5) — the sweep populates every (k, supervised) cell
             .expect("cell present")
     }
 }
@@ -228,13 +227,11 @@ fn run_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRun {
         clippy::expect_used,
         reason = "adopt/run on a fresh session cannot fail"
     )]
-    // simlint: allow(D5) — adopt/run on a fresh session cannot fail
     let mut session = simserve::Session::adopt(rig.machine).expect("adopt fresh machine");
     #[expect(
         clippy::expect_used,
         reason = "first run of a fresh session cannot fail"
     )]
-    // simlint: allow(D5) — first run of a fresh session cannot fail
     let report = session.run_until(rig.horizon).expect("run adopted session");
     SuperRun {
         outcome: rig.goal.outcome(),

@@ -918,7 +918,6 @@ impl Machine {
                 clippy::expect_used,
                 reason = "peek_time just returned Some; the queue cannot be empty here"
             )]
-            // simlint: allow(D5) — peek_time just returned Some; the queue cannot be empty here
             let (t, ev) = self.queue.pop().expect("peeked event vanished");
             self.advance_to(t);
             if self.stopped {
@@ -1757,7 +1756,6 @@ impl Machine {
             clippy::expect_used,
             reason = "CpuDone is only scheduled while a slice is running"
         )]
-        // simlint: allow(D5) — CpuDone is only scheduled while a slice is running
         let (src, slice) = self.current.take().expect("CpuDone without current");
         match src {
             Source::Proc(pid) => {
@@ -1785,7 +1783,6 @@ impl Machine {
                 let front = self
                     .x_queue
                     .front_mut()
-                    // simlint: allow(D5) — scheduler invariant: the X source only runs with queued jobs
                     .expect("X running with empty queue");
                 front.remaining = front.remaining.saturating_sub(slice);
                 if front.remaining.is_zero() {
@@ -1924,7 +1921,6 @@ impl Machine {
             clippy::expect_used,
             reason = "RpcTimeout events are only scheduled when a retry policy exists"
         )]
-        // simlint: allow(D5) — RpcTimeout events are only scheduled when a retry policy exists
         let policy = self.cfg.faults.rpc.expect("RpcTimeout without a policy");
         let backoff = policy.backoff_after(self.procs[pid.0].attempts);
         self.procs[pid.0].state = ProcState::NetBackoff(plan);
@@ -1958,7 +1954,6 @@ impl Machine {
                 clippy::expect_used,
                 reason = "every completed flow was registered by start_flow"
             )]
-            // simlint: allow(D5) — every completed flow was registered by start_flow
             let ctx = self.flows.remove(&flow).expect("completed unknown flow");
             let pid = ctx.pid;
             self.procs[pid.0].flow = None;
@@ -2021,7 +2016,6 @@ impl Machine {
             clippy::expect_used,
             reason = "hooks are leased out one tick at a time; re-entry is a bug worth crashing on"
         )]
-        // simlint: allow(D5) — hooks are leased out one tick at a time; re-entry is a bug worth crashing on
         let mut hook = self.hooks[i].hook.take().expect("hook re-entered");
         let now = self.clock;
         hook.on_tick(now, &mut MachineView { m: self });

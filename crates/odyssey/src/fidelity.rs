@@ -53,7 +53,6 @@ impl FidelitySpace {
             clippy::expect_used,
             reason = "an empty fidelity ladder is a construction bug; this panic is the validation"
         )]
-        // simlint: allow(D5) — an empty fidelity ladder is a construction bug; this panic is the validation
         let top = levels.last().expect("non-empty");
         assert!(
             (top.data_ratio - 1.0).abs() < 1e-9,

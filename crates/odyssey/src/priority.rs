@@ -62,7 +62,6 @@ impl PriorityTable {
             clippy::expect_used,
             reason = "documented # Panics contract of set_rank"
         )]
-        // simlint: allow(D5) — documented # Panics contract of set_rank
         let cur = self.rank(pid).expect("pid not in priority table");
         assert!(rank < self.order.len(), "rank out of range");
         let p = self.order.remove(cur);

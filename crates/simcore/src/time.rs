@@ -88,7 +88,6 @@ impl SimTime {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
-                // simlint: allow(D5) — overflow guard; panicking is since()'s documented contract
                 .expect("SimTime::since: earlier instant is in the future"),
         )
     }
@@ -216,7 +215,6 @@ impl Add<SimDuration> for SimTime {
         SimTime(
             self.0
                 .checked_add(rhs.0)
-                // simlint: allow(D5) — overflow guard; Add's documented panic contract
                 .expect("SimTime addition overflows u64 microseconds"),
         )
     }
@@ -239,7 +237,6 @@ impl Sub<SimDuration> for SimTime {
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(D5) — underflow guard; Sub's documented panic contract
                 .expect("SimTime subtraction underflow"),
         )
     }
@@ -271,7 +268,6 @@ impl Add for SimDuration {
         SimDuration(
             self.0
                 .checked_add(rhs.0)
-                // simlint: allow(D5) — overflow guard; Add's documented panic contract
                 .expect("SimDuration addition overflows u64 microseconds"),
         )
     }
@@ -294,7 +290,6 @@ impl Sub for SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(D5) — underflow guard; Sub's documented panic contract
                 .expect("SimDuration subtraction underflow"),
         )
     }
@@ -317,7 +312,6 @@ impl Mul<u64> for SimDuration {
         SimDuration(
             self.0
                 .checked_mul(rhs)
-                // simlint: allow(D5) — overflow guard; Mul's documented panic contract
                 .expect("SimDuration multiplication overflows u64 microseconds"),
         )
     }

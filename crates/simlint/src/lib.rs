@@ -1,43 +1,26 @@
 #![forbid(unsafe_code)]
-//! simlint: the workspace's determinism & energy-accounting lint pass.
+//! simlint: the workspace's energy-accounting lint pass.
 //!
 //! The reproduction's headline claim is bit-identical determinism: the
 //! figure sweeps, the chaos/supervise experiments, and the checkpoint
-//! digests all assume that a fixed seed replays the same bytes. Ecosystem
-//! tools (rustc lints, clippy) cannot express the project-specific rules
-//! that make that true, so this crate scans every workspace source file
-//! with a dependency-free lexer and tolerant Pratt parser — no `syn`,
-//! the repo builds offline — and enforces the rules below. D1–D5 and S1
-//! work at the token/line level; U1 and P1 run on a lightweight AST and
-//! see the whole workspace at once:
+//! digests all assume that a fixed seed replays the same bytes. Stock
+//! clippy enforces the token-level half of that (see the root
+//! `clippy.toml` and `[workspace.lints.clippy]`: no wall-clock, thread
+//! or env reads, no hash-ordered collections, no `f32`, no float
+//! equality, no unwraps, no unchecked indexing in `simserve`). This
+//! crate keeps the rules clippy cannot express. It scans every
+//! workspace source file with a dependency-free lexer and tolerant
+//! Pratt parser — no `syn`, the repo builds offline. D4 and S1 work at
+//! the line level; U1 and P1 run on a lightweight AST and see the whole
+//! workspace at once:
 //!
-//! - **D1** — no wall-clock, thread, or environment reads in simulation
-//!   code (`Instant`, `SystemTime`, `std::thread`, `env::var`). Simulated
-//!   time comes from `simcore::SimTime`; the only sanctioned wall-clock
-//!   escape hatch is `bench::Stopwatch`, which carries a waiver. Thread
-//!   *spawning* (as opposed to sleeping) is confined to the one crate
-//!   whose job it is — `crates/simpar/`, the deterministic work pool —
-//!   where the thread-token half of the rule is switched off.
-//! - **D2** — no `HashMap`/`HashSet`: randomized iteration order is
-//!   exactly the nondeterminism the energy ledger must not inherit. Use
-//!   `BTreeMap`/`BTreeSet`, or waive with a proof of order-insensitivity.
-//! - **D3** — no `==`/`!=` against non-zero float literals and no
-//!   narrowing `as f32` casts in non-test code. Comparisons against
-//!   exactly-representable sentinels (`0.0`, `f64::INFINITY`) are
-//!   allowed, mirroring clippy's `float_cmp` carve-out.
 //! - **D4** — unit-suffix discipline: a public `f64` field or function
 //!   whose name says it carries energy/power/time must name its unit
 //!   (`_j`, `_w`, `_s`, `_mw`, …), aligned with `apps::units`.
-//! - **D5** — zero `unwrap()`/`expect()` in non-test code: a panic in
-//!   the middle of a sweep loses the whole run.
 //! - **S1** — service-layer API discipline, scoped to `crates/simserve/`:
 //!   every public state-changing entry point (a `pub fn` taking
 //!   `&mut self`) must return `Result` — the always-on serving layer
-//!   refuses bad input, it does not panic — D5 may not be waived
-//!   there at all (a waiver is itself an S1 finding), and unchecked
-//!   indexing (`a[i]`, `a[i..]`) is banned in favor of `.get()`:
-//!   snapshot decode paths parse untrusted bytes and must surface
-//!   malformed input as `Result`, never as an out-of-bounds panic.
+//!   refuses bad input, it does not panic.
 //! - **U1** — dimensional consistency: the D4 suffixes make every
 //!   quantity's dimension recoverable from its name (`_j` = J, `_w` =
 //!   J/s, `_s` = s, `_hz` = 1/s, `_frac`/`_ratio` dimensionless), so the
@@ -48,21 +31,23 @@
 //!   `let` bindings, assignments, struct-literal fields, call arguments
 //!   against the (workspace-wide) callee signature, and returns. See
 //!   [`dims`] for the algebra and [`unit`] for the walker.
-//! - **P1** — transitive purity: D1 catches a *direct* `Instant::now()`;
-//!   P1 builds a per-crate symbol table and call graph so a simulation
-//!   function that reaches a banned API through any chain of workspace
-//!   helpers is flagged too, with the full call path in the message.
-//!   Waivers are boundaries: a waived function is unflagged and stops
-//!   propagation to its callers. See [`purity`].
+//! - **P1** — transitive purity: clippy catches a *direct*
+//!   `Instant::now()`; P1 builds a per-crate symbol table and call graph
+//!   so a simulation function that reaches a banned API through any
+//!   chain of workspace helpers is flagged too, with the full call path
+//!   in the message. Waivers are boundaries: a waived function is
+//!   unflagged and stops propagation to its callers. See [`purity`].
 //!
 //! Any site can be waived with a comment carrying a reason:
 //!
 //! ```text
-//! // simlint: allow(D1) — benches time real execution by design
+//! // simlint: allow(P1) — benches time real execution by design
 //! ```
 //!
 //! either trailing on the offending line or standing alone on the line
-//! above it. A waiver without a reason is itself a finding (**W0**).
+//! above it. A waiver without a reason, or one naming a rule that does
+//! not exist (including the retired D1, D2, D3 and D5), is itself a
+//! finding (**W0**).
 
 pub mod dims;
 pub mod lexer;
@@ -75,7 +60,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Rule identifiers, in report order.
-pub const RULE_IDS: [&str; 9] = ["D1", "D2", "D3", "D4", "D5", "P1", "S1", "U1", "W0"];
+pub const RULE_IDS: [&str; 5] = ["D4", "P1", "S1", "U1", "W0"];
 
 /// One diagnostic: a rule violated at a file:line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,7 +69,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`D1`..`D5`, `W0`).
+    /// Rule identifier (one of [`RULE_IDS`]).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -137,25 +122,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Where a file sits in the workspace — decides which rules apply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FileCtx<'a> {
-    /// Workspace-relative display path.
-    pub path: &'a str,
-    /// True for `tests/`, `benches/`, and `examples/` trees: D3/D4/D5 do
-    /// not apply there (exact float asserts and unwraps are legitimate
-    /// test idiom), while the determinism rules D1/D2 still do.
-    pub is_test: bool,
-    /// True only for `crates/simpar/` — the deterministic work pool, the
-    /// one crate allowed to spawn threads. Wall-clock and environment
-    /// reads (`Instant`, `thread::sleep`, `env::var`, …) stay banned
-    /// there too; only the thread-spawning tokens are exempt.
-    pub thread_ok: bool,
-    /// True for `crates/simserve/` — the always-on service layer, where
-    /// the S1 API-discipline rule applies on top of D1–D5.
-    pub service: bool,
 }
 
 /// Result of scanning a whole workspace.
@@ -347,7 +313,7 @@ fn test_regions(code: &[String]) -> Vec<bool> {
 
 /// Per-line waived rules plus any malformed-waiver findings.
 fn parse_waivers(
-    ctx: FileCtx<'_>,
+    path: &str,
     stripped: &Stripped,
 ) -> (BTreeMap<usize, BTreeSet<&'static str>>, Vec<Finding>) {
     let mut waived: BTreeMap<usize, BTreeSet<&'static str>> = BTreeMap::new();
@@ -357,28 +323,25 @@ fn parse_waivers(
             continue;
         };
         let line_no = idx + 1;
+        let w0 = |message: String| Finding {
+            path: path.to_string(),
+            line: line_no,
+            rule: "W0",
+            message,
+        };
         let rest = comment[pos + "simlint:".len()..].trim_start();
         // Prose that merely mentions simlint is not a waiver attempt.
         if !rest.starts_with("allow") {
             continue;
         }
         let Some(args) = rest.strip_prefix("allow(") else {
-            findings.push(Finding {
-                path: ctx.path.to_string(),
-                line: line_no,
-                rule: "W0",
-                message: "malformed waiver: expected `simlint: allow(<rule>) — <reason>`"
-                    .to_string(),
-            });
+            findings.push(w0(
+                "malformed waiver: expected `simlint: allow(<rule>) — <reason>`".to_string(),
+            ));
             continue;
         };
         let Some(close) = args.find(')') else {
-            findings.push(Finding {
-                path: ctx.path.to_string(),
-                line: line_no,
-                rule: "W0",
-                message: "malformed waiver: missing `)`".to_string(),
-            });
+            findings.push(w0("malformed waiver: missing `)`".to_string()));
             continue;
         };
         let mut rules: BTreeSet<&'static str> = BTreeSet::new();
@@ -390,12 +353,7 @@ fn parse_waivers(
                     rules.insert(id);
                 }
                 None => {
-                    findings.push(Finding {
-                        path: ctx.path.to_string(),
-                        line: line_no,
-                        rule: "W0",
-                        message: format!("waiver names unknown rule `{name}`"),
-                    });
+                    findings.push(w0(format!("waiver names unknown rule `{name}`")));
                     bad_rule = true;
                 }
             }
@@ -408,14 +366,10 @@ fn parse_waivers(
             .map(str::trim)
             .unwrap_or("");
         if reason.is_empty() {
-            findings.push(Finding {
-                path: ctx.path.to_string(),
-                line: line_no,
-                rule: "W0",
-                message: "waiver has no reason: write `simlint: allow(<rule>) — <why this site \
-                          is sound>`"
+            findings.push(w0(
+                "waiver has no reason: write `simlint: allow(<rule>) — <why this site is sound>`"
                     .to_string(),
-            });
+            ));
             continue;
         }
         if bad_rule {
@@ -446,89 +400,16 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Byte offsets of whole-word occurrences of `word` in `line`.
-fn word_positions(line: &str, word: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while let Some(pos) = line[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0 || !line[..at].chars().next_back().is_some_and(is_ident_char);
-        let after_ok = !line[at + word.len()..]
-            .chars()
-            .next()
-            .is_some_and(is_ident_char);
-        if before_ok && after_ok {
-            out.push(at);
-        }
-        start = at + word.len();
-    }
-    out
-}
-
+/// True when `word` occurs in `line` as a whole word.
 fn contains_word(line: &str, word: &str) -> bool {
-    !word_positions(line, word).is_empty()
-}
-
-/// Last token of `s` over the charset used by paths and literals.
-fn trailing_token(s: &str) -> &str {
-    let trimmed = s.trim_end();
-    let start = trimmed
-        .rfind(|c: char| !(is_ident_char(c) || c == '.' || c == ':'))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    &trimmed[start..]
-}
-
-/// First token of `s` over the same charset (leading sign allowed).
-fn leading_token(s: &str) -> &str {
-    let trimmed = s.trim_start();
-    let body = trimmed.strip_prefix('-').unwrap_or(trimmed);
-    let end = body
-        .find(|c: char| !(is_ident_char(c) || c == '.' || c == ':'))
-        .unwrap_or(body.len());
-    &body[..end]
-}
-
-/// Is `tok` a float literal with a non-zero value? Comparisons against
-/// `0.0` (and any token that is a path, like `f64::INFINITY`) are exact
-/// and deterministic, so only true literals with magnitude are hazards.
-fn nonzero_float_literal(tok: &str) -> bool {
-    if tok.is_empty() || tok.starts_with("0x") || tok.starts_with("0b") {
-        return false;
-    }
-    if !tok.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return false;
-    }
-    if !(tok.contains('.') || tok.contains('e') || tok.contains('E')) {
-        return false; // Integer literal.
-    }
-    let cleaned = tok
-        .trim_end_matches("f64")
-        .trim_end_matches("f32")
-        .trim_end_matches('_')
-        .replace('_', "");
-    match cleaned.parse::<f64>() {
-        Ok(v) => v != 0.0,
-        Err(_) => false,
-    }
+    line.match_indices(word).any(|(at, _)| {
+        !line[..at].ends_with(is_ident_char) && !line[at + word.len()..].starts_with(is_ident_char)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // The rules.
 // ---------------------------------------------------------------------------
-
-/// D1 tokens banned everywhere, including `crates/simpar/`: wall-clock
-/// and environment reads, plus `thread::sleep` (a wall-clock wait).
-const D1_CLOCK_TOKENS: [&str; 4] = ["Instant", "SystemTime", "thread::sleep", "env::var"];
-
-/// D1 tokens banned outside `crates/simpar/`: thread spawning and
-/// anything that reaches the `std::thread` module to do it.
-const D1_THREAD_TOKENS: [&str; 4] = [
-    "thread::spawn",
-    "thread::scope",
-    "available_parallelism",
-    "std::thread",
-];
 
 const D4_KEYWORDS: [&str; 6] = ["energy", "power", "watt", "joule", "time", "duration"];
 const D4_SUFFIXES: [&str; 13] = [
@@ -544,14 +425,13 @@ fn d4_name_violates(name: &str) -> bool {
 
 /// Everything one file contributes to the workspace passes: the
 /// line-rule findings plus the parsed inputs U1 and P1 need. Produced by
-/// [`analyze_str`] (fanned across simpar workers in the workspace scan)
-/// and consumed by [`cross_pass`].
-#[derive(Clone, Debug)]
-pub struct FileAnalysis {
+/// [`analyze_str`] and consumed by [`cross_pass`].
+#[derive(Debug)]
+struct FileAnalysis {
     /// Workspace-relative path.
-    pub rel: String,
-    /// Line-rule findings (D1–D5, S1, W0), waivers already applied.
-    pub line_findings: Vec<Finding>,
+    rel: String,
+    /// Line-rule findings (D4, S1, W0), waivers already applied.
+    line_findings: Vec<Finding>,
     /// Waived rules per line (U1/P1 filtering happens in the cross pass).
     waived: BTreeMap<usize, BTreeSet<&'static str>>,
     /// Parsed AST — empty for test-path files, which U1/P1 skip.
@@ -560,120 +440,46 @@ pub struct FileAnalysis {
     code: Vec<String>,
     /// Per-line `#[cfg(test)]` membership.
     test_lines: Vec<bool>,
-    is_test: bool,
-    par: bool,
-    bench: bool,
 }
 
-/// Scans one file's source text. Equivalent to [`analyze_str`] +
-/// [`cross_pass`] over just this file — fixtures exercise every rule
-/// through this one entry point.
-pub fn scan_str(ctx: FileCtx<'_>, source: &str) -> Vec<Finding> {
-    let analysis = analyze_str(ctx, source);
-    let mut findings = cross_pass(std::slice::from_ref(&analysis), 1);
+/// Scans one file's source text as if it sat at the workspace-relative
+/// `path`, which decides the rules that apply: test trees (`tests/`,
+/// `benches/`, `examples/`) get only W0, and `crates/simserve/` adds
+/// S1. Fixtures exercise every rule through this one entry point.
+pub fn scan_str(path: &str, source: &str) -> Vec<Finding> {
+    let analysis = analyze_str(path, source);
+    let mut findings = cross_pass(std::slice::from_ref(&analysis));
     findings.extend(analysis.line_findings);
     findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
     findings
 }
 
 /// Runs the line rules on one file and parses it for the cross-file
-/// passes. `ctx.is_test` plus `#[cfg(test)]` regions decide which rules
-/// run on which lines.
-pub fn analyze_str(ctx: FileCtx<'_>, source: &str) -> FileAnalysis {
+/// passes. The path plus `#[cfg(test)]` regions decide which rules run
+/// on which lines.
+fn analyze_str(path: &str, source: &str) -> FileAnalysis {
     let stripped = strip(source);
     let in_test_region = test_regions(&stripped.code);
-    let (waived, mut findings) = parse_waivers(ctx, &stripped);
-    let mut push = |findings: &mut Vec<Finding>, line: usize, rule: &'static str, msg: String| {
-        if waived.get(&line).is_some_and(|set| set.contains(rule)) {
-            return;
-        }
-        findings.push(Finding {
-            path: ctx.path.to_string(),
-            line,
-            rule,
-            message: msg,
-        });
-    };
-    for (idx, code) in stripped.code.iter().enumerate() {
-        let line_no = idx + 1;
-        let testish = ctx.is_test || in_test_region[idx];
-        // D1: wall-clock / thread / environment reads. One finding per
-        // line is enough to force the fix. Clock tokens apply everywhere;
-        // thread tokens are switched off inside the simpar work pool.
-        let d1_hit = D1_CLOCK_TOKENS
-            .iter()
-            .find(|t| contains_word(code, t))
-            .or_else(|| {
-                if ctx.thread_ok {
-                    None
-                } else {
-                    D1_THREAD_TOKENS.iter().find(|t| contains_word(code, t))
-                }
-            });
-        if let Some(tok) = d1_hit {
-            push(
-                &mut findings,
-                line_no,
-                "D1",
-                format!(
-                    "`{tok}` in simulation code: use simcore::SimTime, route wall-clock timing \
-                     through bench::Stopwatch, or fan work out via the simpar pool (the only \
-                     crate allowed to touch std::thread)"
-                ),
-            );
-        }
-        // D2: unordered collections.
-        if let Some(tok) = ["HashMap", "HashSet"]
-            .iter()
-            .find(|t| contains_word(code, t))
-        {
-            let ordered = tok.replace("Hash", "BTree");
-            push(
-                &mut findings,
-                line_no,
-                "D2",
-                format!(
-                    "`{tok}` has randomized iteration order; use `{ordered}` or waive with a \
-                     proof of order-insensitivity"
-                ),
-            );
-        }
-        if !testish {
-            scan_d3(code, line_no, &mut findings, &mut push);
-            // D5: panics in non-test code.
-            for needle in [".unwrap()", ".expect("] {
-                if code.contains(needle) {
-                    push(
-                        &mut findings,
-                        line_no,
-                        "D5",
-                        format!(
-                            "`{}` in non-test code: propagate the error, restructure, or waive \
-                             with the invariant that makes it unreachable",
-                            needle.trim_end_matches('(')
-                        ),
-                    );
-                }
+    let (waived, mut findings) = parse_waivers(path, &stripped);
+    let is_test = is_test_path(path);
+    if !is_test {
+        let service = is_service_path(path);
+        for (line, rule, message) in scan_lines(&stripped.code, &in_test_region, service) {
+            if !waived.get(&line).is_some_and(|set| set.contains(rule)) {
+                findings.push(Finding {
+                    path: path.to_string(),
+                    line,
+                    rule,
+                    message,
+                });
             }
-        }
-    }
-    if !ctx.is_test {
-        scan_d4(&stripped.code, &in_test_region, &mut findings, &mut push);
-        if ctx.service {
-            scan_s1(
-                &stripped.code,
-                &in_test_region,
-                &waived,
-                &mut findings,
-                &mut push,
-            );
         }
     }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     // Parse the AST for the cross-file passes; test-path files are out
     // of U1/P1's scope, so skip the work there.
     let mut ast = parse::FileAst::default();
-    if !ctx.is_test {
+    if !is_test {
         ast = parse::parse_file(&lexer::lex(&stripped.code));
         for f in &mut ast.fns {
             f.in_test = in_test_region
@@ -683,67 +489,47 @@ pub fn analyze_str(ctx: FileCtx<'_>, source: &str) -> FileAnalysis {
         }
     }
     FileAnalysis {
-        rel: ctx.path.to_string(),
+        rel: path.to_string(),
         line_findings: findings,
         waived,
         ast,
         code: stripped.code,
         test_lines: in_test_region,
-        is_test: ctx.is_test,
-        par: ctx.thread_ok,
-        bench: is_bench_path(ctx.path),
     }
 }
 
 /// The workspace-wide passes over per-file analyses: U1 checks each
-/// file against the shared symbol table (fanned across `threads` simpar
-/// workers — many light files, so the pool's auto grain batches them
-/// into guided chunks and the index-ordered merge stays deterministic),
-/// then P1 runs its call-graph fixpoint (serial — the propagation is
-/// global). Returns the unwaived U1/P1 findings, unsorted.
-pub fn cross_pass(analyses: &[FileAnalysis], threads: usize) -> Vec<Finding> {
-    let tabled: Vec<(String, parse::FileAst)> = analyses
+/// file against the shared symbol table, then P1 runs its call-graph
+/// fixpoint. Returns the unwaived U1/P1 findings, unsorted.
+fn cross_pass(analyses: &[FileAnalysis]) -> Vec<Finding> {
+    // Test-path files are out of U1's and P1's scope.
+    let live: Vec<&FileAnalysis> = analyses.iter().filter(|a| !is_test_path(&a.rel)).collect();
+    let tabled: Vec<(String, parse::FileAst)> = live
         .iter()
-        .filter(|a| !a.is_test)
         .map(|a| (a.rel.clone(), a.ast.clone()))
         .collect();
     let table = unit::SymbolTable::build(&tabled);
-    let outcomes = simpar::map(threads, analyses, |_, a| {
-        if a.is_test {
-            (unit::UnitOutcome::default(), Vec::new())
-        } else {
-            (
-                unit::check_file(&a.ast, &table, &a.test_lines),
-                purity::direct_sites(&a.rel, &a.code, &a.ast.fns),
-            )
-        }
-    });
     let mut findings = Vec::new();
-    for (a, (out, _)) in analyses.iter().zip(&outcomes) {
-        for (line, msg) in &out.findings {
-            if a.waived.get(line).is_some_and(|set| set.contains("U1")) {
-                continue;
-            }
-            findings.push(Finding {
-                path: a.rel.clone(),
-                line: *line,
-                rule: "U1",
-                message: msg.clone(),
-            });
-        }
-    }
-    // P1 sees every non-test file: sanctioned crates (simpar, bench)
-    // still conduct impurity through to their callers even though
-    // findings are never reported inside them.
     let mut pfiles = Vec::new();
-    let mut owners = Vec::new();
-    for (ai, (a, (out, direct))) in analyses.iter().zip(&outcomes).enumerate() {
-        if a.is_test {
-            continue;
+    for a in &live {
+        let out = unit::check_file(&a.ast, &table, &a.test_lines);
+        for (line, msg) in &out.findings {
+            if !a.waived.get(line).is_some_and(|set| set.contains("U1")) {
+                findings.push(Finding {
+                    path: a.rel.clone(),
+                    line: *line,
+                    rule: "U1",
+                    message: msg.clone(),
+                });
+            }
         }
+        // P1 sees every non-test file: sanctioned crates (simpar, bench)
+        // still conduct impurity through to their callers even though
+        // findings are never reported inside them.
+        let direct = purity::direct_sites(&a.rel, &a.code, &a.ast.fns);
         pfiles.push(purity::PurityFile {
             rel: a.rel.clone(),
-            eligible: !a.par && !a.bench,
+            eligible: !is_par_path(&a.rel) && !is_bench_path(&a.rel),
             fns: a
                 .ast
                 .fns
@@ -760,12 +546,10 @@ pub fn cross_pass(analyses: &[FileAnalysis], threads: usize) -> Vec<Finding> {
                 })
                 .collect(),
         });
-        owners.push(ai);
     }
     for (file_idx, line, message) in purity::analyze(&pfiles) {
-        let a = &analyses[owners[file_idx]];
         findings.push(Finding {
-            path: a.rel.clone(),
+            path: live[file_idx].rel.clone(),
             line,
             rule: "P1",
             message,
@@ -774,218 +558,16 @@ pub fn cross_pass(analyses: &[FileAnalysis], threads: usize) -> Vec<Finding> {
     findings
 }
 
-/// S1: service-layer API discipline for `crates/simserve/`. Public
-/// state-changing entry points (`&mut self` receivers) must return
-/// `Result`, and the no-panic rule D5 may not be waived in this layer —
-/// a D5 waiver comment is itself a finding.
-fn scan_s1(
+/// The line rules over one file's non-test lines, as `(line, rule,
+/// message)`: D4 wants a public `f64` field or function to name its
+/// unit, and S1 (service layer only) wants a public `&mut self` entry
+/// point to return `Result`.
+fn scan_lines(
     code: &[String],
     in_test_region: &[bool],
-    waived: &BTreeMap<usize, BTreeSet<&'static str>>,
-    findings: &mut Vec<Finding>,
-    push: &mut impl FnMut(&mut Vec<Finding>, usize, &'static str, String),
-) {
-    for (idx, line) in code.iter().enumerate() {
-        if in_test_region[idx] {
-            continue;
-        }
-        let line_no = idx + 1;
-        // Unchecked indexing: decode paths parse untrusted snapshot
-        // bytes and serving paths handle untrusted input, so `a[i]` /
-        // `a[i..]` — which panic out-of-bounds — are banned in favor of
-        // `.get()`. An index proven in range can be waived.
-        if has_unchecked_indexing(line) {
-            push(
-                findings,
-                line_no,
-                "S1",
-                "unchecked indexing in the service layer: use `.get()` and surface the \
-                 failure as a `Result` (decode paths must be panic-free)"
-                    .to_string(),
-            );
-        }
-        let trimmed = line.trim_start();
-        let Some(fn_pos) = find_pub_fn(trimmed) else {
-            continue;
-        };
-        let name: String = trimmed[fn_pos..]
-            .chars()
-            .take_while(|c| is_ident_char(*c))
-            .collect();
-        if name.is_empty() {
-            continue;
-        }
-        let mut sig = String::new();
-        for cont in &code[idx..code.len().min(idx + 12)] {
-            sig.push_str(cont);
-            sig.push(' ');
-            if cont.contains('{') || cont.trim_end().ends_with(';') {
-                break;
-            }
-        }
-        if !sig.contains("&mut self") {
-            continue;
-        }
-        let ret = sig.split("->").nth(1).map(str::trim_start).unwrap_or("");
-        if !ret.starts_with("Result") {
-            push(
-                findings,
-                line_no,
-                "S1",
-                format!(
-                    "service-layer entry point `{name}` takes `&mut self` but does not return \
-                     `Result`: the serving API refuses bad input, it never panics"
-                ),
-            );
-        }
-    }
-    for (&line, rules) in waived {
-        if rules.contains("D5") {
-            push(
-                findings,
-                line,
-                "S1",
-                "D5 may not be waived in the service layer: return a `Result` instead of \
-                 panicking"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// True when a (string-stripped) line contains an index expression —
-/// `ident[`, `call()[`, or `a[0][` — as opposed to slice types (`&[`),
-/// attributes (`#[`), array literals, macros (`vec![`), or slice
-/// patterns and keyword-position brackets (`let [a, b] =`,
-/// `for [a, b] in`, `return [0; 4]`, `match [x, y] {`). A bracket after
-/// a keyword opens a pattern or an array literal, never an indexing
-/// base — a keyword cannot name a value.
-fn has_unchecked_indexing(line: &str) -> bool {
-    let chars: Vec<char> = line.chars().collect();
-    for i in 0..chars.len() {
-        if chars[i] != '[' {
-            continue;
-        }
-        let mut j = i;
-        while j > 0 && chars[j - 1].is_whitespace() {
-            j -= 1;
-        }
-        if j == 0 {
-            continue;
-        }
-        if chars[j - 1] == ')' || chars[j - 1] == ']' {
-            return true;
-        }
-        if !is_ident_char(chars[j - 1]) {
-            continue;
-        }
-        // Walk back over the whole identifier to tell an indexed value
-        // from a keyword (`let [a, b] =`) or a lifetime (`&'a [u8]`).
-        let mut k = j;
-        while k > 0 && is_ident_char(chars[k - 1]) {
-            k -= 1;
-        }
-        if k > 0 && chars[k - 1] == '\'' {
-            continue;
-        }
-        if k > 0 && chars[k - 1] == '.' {
-            // A field or postfix access (`self.vals[i]`, `fut.await[i]`)
-            // is a value even when its last segment spells a keyword.
-            return true;
-        }
-        let word: String = chars
-            .get(k..j)
-            .map(|w| w.iter().collect())
-            .unwrap_or_default();
-        if matches!(
-            word.as_str(),
-            "let"
-                | "ref"
-                | "mut"
-                | "static"
-                | "dyn"
-                | "in"
-                | "as"
-                | "box"
-                | "const"
-                | "for"
-                | "if"
-                | "while"
-                | "match"
-                | "return"
-                | "else"
-                | "break"
-                | "continue"
-                | "loop"
-                | "move"
-                | "yield"
-        ) {
-            continue;
-        }
-        return true;
-    }
-    false
-}
-
-/// D3: float-literal equality and narrowing casts.
-fn scan_d3(
-    code: &str,
-    line_no: usize,
-    findings: &mut Vec<Finding>,
-    push: &mut impl FnMut(&mut Vec<Finding>, usize, &'static str, String),
-) {
-    for op in ["==", "!="] {
-        let mut start = 0usize;
-        while let Some(pos) = code[start..].find(op) {
-            let at = start + pos;
-            start = at + op.len();
-            let before = &code[..at];
-            let after = &code[at + op.len()..];
-            // Skip `=>`, `<=`, `>=`, `+=`-family neighbours.
-            if before.ends_with(['=', '!', '<', '>']) || after.starts_with('=') {
-                continue;
-            }
-            let left = trailing_token(before);
-            let right = leading_token(after);
-            if nonzero_float_literal(left) || nonzero_float_literal(right) {
-                push(
-                    findings,
-                    line_no,
-                    "D3",
-                    format!(
-                        "float equality against a non-zero literal (`{}`): compare with an \
-                         explicit tolerance or total_cmp",
-                        if nonzero_float_literal(left) {
-                            left
-                        } else {
-                            right
-                        }
-                    ),
-                );
-            }
-        }
-    }
-    for pos in word_positions(code, "f32") {
-        let before = code[..pos].trim_end();
-        if before.ends_with("as") && !before[..before.len() - 2].ends_with(is_ident_char) {
-            push(
-                findings,
-                line_no,
-                "D3",
-                "narrowing `as f32` cast loses precision in an energy path: keep f64 end to end"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// D4: unit-suffix discipline for public f64 fields and functions.
-fn scan_d4(
-    code: &[String],
-    in_test_region: &[bool],
-    findings: &mut Vec<Finding>,
-    push: &mut impl FnMut(&mut Vec<Finding>, usize, &'static str, String),
-) {
+    service: bool,
+) -> Vec<(usize, &'static str, String)> {
+    let mut out = Vec::new();
     for (idx, line) in code.iter().enumerate() {
         if in_test_region[idx] {
             continue;
@@ -996,68 +578,69 @@ fn scan_d4(
         if let Some(rest) = trimmed.strip_prefix("pub ") {
             let name: String = rest.chars().take_while(|c| is_ident_char(*c)).collect();
             let after = rest[name.len()..].trim_start();
-            if !name.is_empty()
-                && name
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_lowercase() || c == '_')
+            if name.starts_with(|c: char| c.is_lowercase() || c == '_')
                 && after.starts_with(':')
+                && after[1..].trim().trim_end_matches(',').trim() == "f64"
+                && d4_name_violates(&name)
             {
-                let ty = after[1..].trim().trim_end_matches(',').trim();
-                if ty == "f64" && d4_name_violates(&name) {
-                    push(
-                        findings,
-                        line_no,
-                        "D4",
-                        format!(
-                            "public f64 field `{name}` carries a unit but its name does not: end \
-                             it in _j/_w/_s/_mw (see apps::units)"
-                        ),
-                    );
-                }
-            }
-        }
-        // Public f64 function: `pub fn name(...) -> f64` (signature may
-        // span lines; collect until the body opens).
-        if let Some(fn_pos) = find_pub_fn(trimmed) {
-            let name: String = trimmed[fn_pos..]
-                .chars()
-                .take_while(|c| is_ident_char(*c))
-                .collect();
-            if name.is_empty() {
-                continue;
-            }
-            let mut sig = String::new();
-            for cont in &code[idx..code.len().min(idx + 12)] {
-                sig.push_str(cont);
-                sig.push(' ');
-                if cont.contains('{') || cont.trim_end().ends_with(';') {
-                    break;
-                }
-            }
-            let ret = sig.split("->").nth(1).map(str::trim_start).unwrap_or("");
-            if ret.starts_with("f64") && d4_name_violates(&name) {
-                push(
-                    findings,
+                out.push((
                     line_no,
                     "D4",
                     format!(
-                        "public fn `{name}` returns a unit-carrying f64 but its name does not \
-                         say the unit: end it in _j/_w/_s/_mw (see apps::units)"
+                        "public f64 field `{name}` carries a unit but its name does not: end it \
+                         in _j/_w/_s/_mw (see apps::units)"
                     ),
-                );
+                ));
             }
         }
+        // Public function: `pub fn name(...) -> T` (the signature may
+        // span lines; collect until the body opens).
+        let Some(name) = pub_fn_name(trimmed) else {
+            continue;
+        };
+        let mut sig = String::new();
+        for cont in &code[idx..code.len().min(idx + 12)] {
+            sig.push_str(cont);
+            sig.push(' ');
+            if cont.contains('{') || cont.trim_end().ends_with(';') {
+                break;
+            }
+        }
+        let ret = sig.split("->").nth(1).map(str::trim_start).unwrap_or("");
+        if ret.starts_with("f64") && d4_name_violates(name) {
+            out.push((
+                line_no,
+                "D4",
+                format!(
+                    "public fn `{name}` returns a unit-carrying f64 but its name does not say the \
+                     unit: end it in _j/_w/_s/_mw (see apps::units)"
+                ),
+            ));
+        }
+        if service && sig.contains("&mut self") && !ret.starts_with("Result") {
+            out.push((
+                line_no,
+                "S1",
+                format!(
+                    "service-layer entry point `{name}` takes `&mut self` but does not return \
+                     `Result`: the serving API refuses bad input, it never panics"
+                ),
+            ));
+        }
     }
+    out
 }
 
-/// Offset of the fn name in `pub fn name` / `pub const fn name`, if the
-/// line declares a plainly-public function.
-fn find_pub_fn(trimmed: &str) -> Option<usize> {
+/// The name in `pub fn name` / `pub const fn name`, if the line
+/// declares a plainly-public function.
+fn pub_fn_name(trimmed: &str) -> Option<&str> {
     let rest = trimmed.strip_prefix("pub ")?;
-    let rest2 = rest.strip_prefix("const ").unwrap_or(rest);
-    let body = rest2.strip_prefix("fn ")?;
-    Some(trimmed.len() - body.len())
+    let body = rest
+        .strip_prefix("const ")
+        .unwrap_or(rest)
+        .strip_prefix("fn ")?;
+    let name = &body[..body.find(|c: char| !is_ident_char(c)).unwrap_or(body.len())];
+    (!name.is_empty()).then_some(name)
 }
 
 // ---------------------------------------------------------------------------
@@ -1065,7 +648,7 @@ fn find_pub_fn(trimmed: &str) -> Option<usize> {
 // ---------------------------------------------------------------------------
 
 /// Directories never scanned.
-const SKIP_DIRS: [&str; 5] = ["target", ".git", "results", ".github", "lint_parity"];
+const SKIP_DIRS: [&str; 4] = ["target", ".git", "results", ".github"];
 
 fn collect_rs(dir: &Path, out: &mut BTreeSet<PathBuf>) -> Result<(), String> {
     let entries =
@@ -1093,7 +676,7 @@ fn is_test_path(rel: &str) -> bool {
 }
 
 /// True for files inside the simpar work pool — the one crate whose job
-/// is spawning threads, so D1's thread tokens do not apply there.
+/// is spawning threads, so P1's thread tokens are not impure there.
 fn is_par_path(rel: &str) -> bool {
     rel.starts_with("crates/simpar/")
 }
@@ -1111,19 +694,9 @@ fn is_bench_path(rel: &str) -> bool {
     rel.starts_with("crates/bench/")
 }
 
-/// Scans every `.rs` file under `root` (a workspace checkout) serially.
-/// See [`scan_workspace_threads`] for the fanned version; both produce
-/// byte-identical reports.
+/// Scans every `.rs` file under `root` (a workspace checkout), in path
+/// order.
 pub fn scan_workspace(root: &Path) -> Result<Report, String> {
-    scan_workspace_threads(root, 1)
-}
-
-/// Scans every `.rs` file under `root`, fanning the per-file work
-/// across `threads` simpar workers. File discovery and reads stay
-/// serial (ordered by path); per-file analysis and the U1 pass run in
-/// the pool with an index-ordered merge, so the report is byte-identical
-/// at any thread count.
-pub fn scan_workspace_threads(root: &Path, threads: usize) -> Result<Report, String> {
     if !root.join("Cargo.toml").is_file() {
         return Err(format!(
             "{} does not look like a workspace root (no Cargo.toml)",
@@ -1132,7 +705,7 @@ pub fn scan_workspace_threads(root: &Path, threads: usize) -> Result<Report, Str
     }
     let mut files = BTreeSet::new();
     collect_rs(root, &mut files)?;
-    let mut inputs: Vec<(String, String)> = Vec::with_capacity(files.len());
+    let mut analyses = Vec::with_capacity(files.len());
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -1141,21 +714,9 @@ pub fn scan_workspace_threads(root: &Path, threads: usize) -> Result<Report, Str
             .replace('\\', "/");
         let source = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        inputs.push((rel, source));
+        analyses.push(analyze_str(&rel, &source));
     }
-    // Per-file parse+lint is cheap and roughly uniform across hundreds
-    // of files — exactly the shape the pool's auto grain targets, so no
-    // explicit grain override here.
-    let analyses: Vec<FileAnalysis> = simpar::map(threads, &inputs, |_, (rel, source)| {
-        let ctx = FileCtx {
-            path: rel,
-            is_test: is_test_path(rel),
-            thread_ok: is_par_path(rel),
-            service: is_service_path(rel),
-        };
-        analyze_str(ctx, source)
-    });
-    let mut findings = cross_pass(&analyses, threads);
+    let mut findings = cross_pass(&analyses);
     for analysis in &analyses {
         findings.extend(analysis.line_findings.iter().cloned());
     }
@@ -1172,74 +733,12 @@ pub fn scan_workspace_threads(root: &Path, threads: usize) -> Result<Report, Str
 mod tests {
     use super::*;
 
-    const SIM: FileCtx<'static> = FileCtx {
-        path: "crates/x/src/lib.rs",
-        is_test: false,
-        thread_ok: false,
-        service: false,
-    };
-    const TEST: FileCtx<'static> = FileCtx {
-        path: "crates/x/tests/t.rs",
-        is_test: true,
-        thread_ok: false,
-        service: false,
-    };
-    const PAR: FileCtx<'static> = FileCtx {
-        path: "crates/simpar/src/lib.rs",
-        is_test: false,
-        thread_ok: true,
-        service: false,
-    };
-    const SERVICE: FileCtx<'static> = FileCtx {
-        path: "crates/simserve/src/lib.rs",
-        is_test: false,
-        thread_ok: false,
-        service: true,
-    };
+    const SIM: &str = "crates/x/src/lib.rs";
+    const TEST: &str = "crates/x/tests/t.rs";
+    const SERVICE: &str = "crates/simserve/src/lib.rs";
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    // ---- D1: wall-clock / thread / environment reads ----
-
-    #[test]
-    fn d1_flags_wall_clock_reads() {
-        let f = scan_str(SIM, "fn t() { let t0 = std::time::Instant::now(); }\n");
-        assert_eq!(rules(&f), ["D1"]);
-        assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("Stopwatch"));
-    }
-
-    #[test]
-    fn d1_flags_threads_and_env_reads() {
-        let src = "fn a() { std::thread::sleep(d); }\nfn b() { let v = env::var(\"X\"); }\n";
-        let f = scan_str(SIM, src);
-        assert_eq!(rules(&f), ["D1", "D1"]);
-        assert_eq!((f[0].line, f[1].line), (1, 2));
-    }
-
-    #[test]
-    fn d1_applies_even_in_test_code() {
-        // Determinism rules have no test exemption: a test that reads the
-        // wall clock is a flaky test.
-        let f = scan_str(TEST, "fn t() { let t0 = std::time::Instant::now(); }\n");
-        assert_eq!(rules(&f), ["D1"]);
-    }
-
-    /// The tentpole seam: the simpar work pool may scope/spawn threads
-    /// and size itself off `available_parallelism`, but the wall clock
-    /// and the environment stay off-limits even there.
-    #[test]
-    fn d1_thread_tokens_exempt_inside_simpar_only() {
-        let spawns = "fn p() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n\
-                      fn q() -> usize { std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) }\n";
-        assert!(scan_str(PAR, spawns).is_empty());
-        // The same source outside simpar is a violation per line.
-        assert_eq!(rules(&scan_str(SIM, spawns)), ["D1", "D1"]);
-        // Clock reads and sleeps are banned even in the pool crate.
-        let clocky = "fn r() { std::thread::sleep(d); }\nfn s() { let t = Instant::now(); }\n";
-        assert_eq!(rules(&scan_str(PAR, clocky)), ["D1", "D1"]);
     }
 
     #[test]
@@ -1247,62 +746,6 @@ mod tests {
         assert!(is_par_path("crates/simpar/src/lib.rs"));
         assert!(!is_par_path("crates/simcore/src/lib.rs"));
         assert!(!is_par_path("src/simpar.rs"));
-    }
-
-    #[test]
-    fn d1_ignores_literals_comments_and_substrings() {
-        let src = r#"// Instant is banned here, says the comment.
-fn t() {
-    let s = "Instant::now()";
-    let instantaneous_w = 3.0;
-}
-"#;
-        assert!(scan_str(SIM, src).is_empty());
-    }
-
-    // ---- D2: unordered collections ----
-
-    #[test]
-    fn d2_flags_hash_collections_once_per_line() {
-        let f = scan_str(SIM, "let m: HashMap<u32, u32> = HashMap::new();\n");
-        assert_eq!(rules(&f), ["D2"]);
-        assert!(f[0].message.contains("BTreeMap"));
-    }
-
-    #[test]
-    fn d2_accepts_ordered_collections() {
-        let src = "use std::collections::{BTreeMap, BTreeSet};\n";
-        assert!(scan_str(SIM, src).is_empty());
-    }
-
-    // ---- D3: float equality and narrowing casts ----
-
-    #[test]
-    fn d3_flags_float_literal_equality() {
-        let f = scan_str(SIM, "fn f(x: f64) -> bool { x == 1.5 }\n");
-        assert_eq!(rules(&f), ["D3"]);
-        assert!(f[0].message.contains("1.5"));
-    }
-
-    #[test]
-    fn d3_allows_exact_sentinels() {
-        // 0.0 and f64::INFINITY are exactly representable; comparing
-        // against them is deterministic (clippy float_cmp carve-out).
-        let src = "fn f(x: f64) -> bool { x == 0.0 || x != f64::INFINITY }\n";
-        assert!(scan_str(SIM, src).is_empty());
-    }
-
-    #[test]
-    fn d3_flags_narrowing_casts() {
-        let f = scan_str(SIM, "fn f(x: f64) -> f32 { x as f32 }\n");
-        assert_eq!(rules(&f), ["D3"]);
-        assert!(f[0].message.contains("as f32"));
-    }
-
-    #[test]
-    fn d3_exempt_in_test_code() {
-        let src = "fn f(x: f64) -> bool { x == 1.5 }\n";
-        assert!(scan_str(TEST, src).is_empty());
     }
 
     // ---- D4: unit-suffix discipline ----
@@ -1395,32 +838,6 @@ fn t() {
         assert!(f[2].message.contains("inclusive_time"));
     }
 
-    // ---- D5: panics in non-test code ----
-
-    #[test]
-    fn d5_flags_unwrap_and_expect() {
-        let src = "fn f() { x.unwrap(); }\nfn g() { y.expect(\"msg\"); }\n";
-        let f = scan_str(SIM, src);
-        assert_eq!(rules(&f), ["D5", "D5"]);
-    }
-
-    #[test]
-    fn d5_accepts_unwrap_or_variants() {
-        let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); }\n";
-        assert!(scan_str(SIM, src).is_empty());
-    }
-
-    #[test]
-    fn d5_exempt_inside_cfg_test_module() {
-        let src = "fn f() -> u32 { 1 }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       #[test]\n\
-                       fn t() { assert_eq!(super::f(), opt.unwrap()); }\n\
-                   }\n";
-        assert!(scan_str(SIM, src).is_empty());
-    }
-
     // ---- S1: service-layer API discipline ----
 
     /// Fixture mirroring the `simserve::Session` step API: every public
@@ -1461,111 +878,60 @@ fn t() {
     }
 
     #[test]
-    fn s1_rejects_d5_waivers_in_the_service_layer() {
-        let src = "fn f() { x.unwrap(); } // simlint: allow(D5) — x is set two lines up\n";
-        // Elsewhere the waiver is honored; in the service layer it is
-        // itself the finding.
-        assert!(scan_str(SIM, src).is_empty());
-        let f = scan_str(SERVICE, src);
-        assert_eq!(rules(&f), ["S1"]);
-        assert!(f[0].message.contains("may not be waived"));
-    }
-
-    #[test]
     fn s1_does_not_run_in_service_test_code() {
         let src = "#[cfg(test)]\nmod tests {\n    pub fn step(&mut self) {}\n}\n";
         assert!(scan_str(SERVICE, src).is_empty());
     }
 
-    /// Fixture mirroring a snapshot decode path: untrusted bytes must be
-    /// read through `.get()`, never `buf[i]` — a hostile length field
-    /// would turn the decoder into a panic.
-    #[test]
-    fn s1_flags_unchecked_indexing_in_decode_paths() {
-        for dirty in [
-            "fn thaw(&mut self, buf: &[u8]) { let b = buf[self.pos]; }\n",
-            "fn decode(b: &[u8]) { let tail = b[4..]; }\n",
-            "fn merge(&self) { let c = self.checkpoints()[self.next..].to_vec(); }\n",
-        ] {
-            let f = scan_str(SERVICE, dirty);
-            assert_eq!(rules(&f), ["S1"], "{dirty}");
-            assert!(f[0].message.contains(".get()"), "{dirty}");
-            // Outside the service layer indexing is D-rule territory
-            // (reachability arguments live in review, not the linter).
-            assert!(scan_str(SIM, dirty).is_empty(), "{dirty}");
-        }
-    }
-
-    #[test]
-    fn s1_accepts_checked_decode_and_non_index_brackets() {
-        let clean = "fn thaw(&mut self, buf: &[u8]) -> Result<u8, E> {\n\
-                     \x20   buf.get(self.pos).copied().ok_or(E::Truncated)\n\
-                     }\n\
-                     #[derive(Clone)]\n\
-                     pub struct S { v: Vec<[u8; 4]>, s: &'static [u8] }\n\
-                     fn mk() -> Vec<u8> { vec![0u8; 4] }\n\
-                     fn pat(p: &[u8]) { if let [a, ..] = p { let _ = a; } }\n";
-        assert!(scan_str(SERVICE, clean).is_empty());
-    }
-
-    #[test]
-    fn s1_indexing_is_waivable_with_a_reason() {
-        let src = "fn f(&self) { let x = self.v[0]; } // simlint: allow(S1) — v is never empty\n";
-        assert!(scan_str(SERVICE, src).is_empty());
-    }
-
-    #[test]
-    fn s1_indexing_exempt_in_service_test_code() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let x = v[0]; }\n}\n";
-        assert!(scan_str(SERVICE, src).is_empty());
-    }
-
     // ---- Waivers ----
+
+    const UNITLESS: &str = "pub fn raw_power() -> f64 { 0.0 }";
 
     #[test]
     fn trailing_waiver_with_reason_is_honored() {
-        let src = "fn f() { x.unwrap(); } // simlint: allow(D5) — x set two lines up\n";
-        assert!(scan_str(SIM, src).is_empty());
+        let src = format!("{UNITLESS} // simlint: allow(D4) — fixture\n");
+        assert!(scan_str(SIM, &src).is_empty());
     }
 
     #[test]
     fn standalone_waiver_applies_to_next_code_line() {
-        let src = "// simlint: allow(D1) — this bench times real execution by design\n\
-                   fn f() { let t0 = std::time::Instant::now(); }\n";
-        assert!(scan_str(SIM, src).is_empty());
+        let src = format!("// simlint: allow(D4) — fixture\n{UNITLESS}\n");
+        assert!(scan_str(SIM, &src).is_empty());
     }
 
     #[test]
     fn waiver_without_reason_is_rejected_and_finding_stands() {
-        let src = "fn f() { x.unwrap(); } // simlint: allow(D5)\n";
-        let f = scan_str(SIM, src);
+        let src = format!("{UNITLESS} // simlint: allow(D4)\n");
+        let f = scan_str(SIM, &src);
         // Both the malformed waiver and the original violation surface.
-        assert_eq!(rules(&f), ["D5", "W0"]);
+        assert_eq!(rules(&f), ["D4", "W0"]);
         assert!(f[1].message.contains("no reason"));
     }
 
+    /// Rules handed to clippy are unknown now: a leftover waiver for one
+    /// of them is a W0 finding, not a silent no-op.
     #[test]
-    fn waiver_naming_unknown_rule_is_rejected() {
-        let src = "fn f() { x.unwrap(); } // simlint: allow(D9) — because\n";
-        let f = scan_str(SIM, src);
-        assert_eq!(rules(&f), ["D5", "W0"]);
-        assert!(f[1].message.contains("unknown rule"));
+    fn waiver_naming_unknown_or_retired_rule_is_rejected() {
+        for rule in ["D1", "D2", "D3", "D5", "D9"] {
+            let src = format!("fn f() {{}} // simlint: allow({rule}) — because\n");
+            let f = scan_str(SIM, &src);
+            assert_eq!(rules(&f), ["W0"], "{rule}");
+            assert!(f[0].message.contains("unknown rule"), "{rule}");
+        }
     }
 
     #[test]
     fn waiver_covers_multiple_rules() {
-        let src = "// simlint: allow(D1, D5) — bench harness escape hatch\n\
-                   fn f() { let t = std::time::Instant::now().elapsed().as_secs_f64(); \
-                   x.unwrap(); }\n";
+        let src = "// simlint: allow(D4, U1) — fixture\n\
+                   pub fn raw_power(e_j: f64, p_w: f64) -> f64 { e_j + p_w }\n";
         assert!(scan_str(SIM, src).is_empty());
     }
 
     #[test]
     fn waiver_does_not_leak_to_other_lines() {
-        let src = "fn f() { x.unwrap(); } // simlint: allow(D5) — fine here\n\
-                   fn g() { y.unwrap(); }\n";
-        let f = scan_str(SIM, src);
-        assert_eq!(rules(&f), ["D5"]);
+        let src = format!("{UNITLESS} // simlint: allow(D4) — fine here\n{UNITLESS}\n");
+        let f = scan_str(SIM, &src);
+        assert_eq!(rules(&f), ["D4"]);
         assert_eq!(f[0].line, 2);
     }
 
@@ -1580,20 +946,20 @@ fn t() {
     #[test]
     fn raw_strings_and_block_comments_are_invisible() {
         let src = "fn f() -> &'static str {\n\
-                       /* HashMap in a block comment,\n\
+                       /* pub fn raw_power() -> f64 in a block comment,\n\
                        spanning lines */\n\
-                       r#\"Instant::now() and x.unwrap()\"#\n\
+                       r#\"e_j + p_w\"#\n\
                    }\n";
         assert!(scan_str(SIM, src).is_empty());
     }
 
     #[test]
     fn char_literals_do_not_open_strings() {
-        // If '\"' were mis-lexed as a string opener, the unwrap after it
+        // If '\"' were mis-lexed as a string opener, the sum after it
         // would be hidden inside a phantom literal.
-        let src = "fn f(c: char) { if c == '\"' { x.unwrap(); } }\n";
+        let src = "fn f(c: char, e_j: f64, p_w: f64) -> f64 { if c == '\"' { e_j + p_w } else { 0.0 } }\n";
         let f = scan_str(SIM, src);
-        assert_eq!(rules(&f), ["D5"]);
+        assert_eq!(rules(&f), ["U1"]);
     }
 
     // ---- U1 through the public entry point ----
@@ -1629,12 +995,11 @@ fn t() {
 
     #[test]
     fn p1_flags_two_hop_wall_clock_reach_with_path() {
-        let src = "fn leaf() -> f64 { Instant::now().elapsed().as_secs_f64() } \
-                   // simlint: allow(D1) — fixture\n\
+        let src = "fn leaf() -> f64 { Instant::now().elapsed().as_secs_f64() }\n\
                    fn mid() -> f64 { leaf() }\n\
                    fn top() -> f64 { mid() }\n";
         let f = scan_str(SIM, src);
-        // `leaf` is direct (and D1-waived); `mid` and `top` reach the
+        // `leaf` is direct (clippy's finding); `mid` and `top` reach the
         // clock transitively and are P1's findings.
         assert_eq!(rules(&f), ["P1", "P1"]);
         assert!(f[1].message.contains("`top`"), "{}", f[1]);
@@ -1644,38 +1009,11 @@ fn t() {
 
     #[test]
     fn p1_waiver_is_a_propagation_boundary() {
-        let src = "fn leaf() -> f64 { Instant::now().elapsed().as_secs_f64() } \
-                   // simlint: allow(D1) — fixture\n\
+        let src = "fn leaf() -> f64 { Instant::now().elapsed().as_secs_f64() }\n\
                    // simlint: allow(P1) — sanctioned timing boundary\n\
                    fn mid() -> f64 { leaf() }\n\
                    fn top() -> f64 { mid() }\n";
         assert!(scan_str(SIM, src).is_empty());
-    }
-
-    // ---- S1 bracket classification (slice patterns vs indexing) ----
-
-    #[test]
-    fn s1_keyword_position_brackets_are_not_indexing() {
-        let clean = "fn pairs(ps: &[[f64; 2]]) {\n\
-                     \x20   for [a_j, b_j] in ps.iter().copied() {\n\
-                     \x20       let _sum_j = a_j + b_j;\n\
-                     \x20   }\n\
-                     }\n\
-                     fn mk() -> [u8; 4] { return [0; 4]; }\n\
-                     fn classify(xs: &[u8]) -> usize { match [xs.len(), 1] { _ => 0 } }\n\
-                     fn arm(x: bool) -> [u8; 1] { if x { [1] } else { [0] } }\n\
-                     fn pat(xs: [u8; 2]) { let [a, b] = xs; let _ = (a, b); }\n";
-        assert!(scan_str(SERVICE, clean).is_empty());
-    }
-
-    #[test]
-    fn s1_indexing_after_fields_and_calls_still_flags() {
-        for dirty in [
-            "fn f(&self) -> u8 { self.vals[0] }\n",
-            "fn g(xs: &[u8]) -> u8 { xs.to_vec()[1] }\n",
-        ] {
-            assert_eq!(rules(&scan_str(SERVICE, dirty)), ["S1"], "{dirty}");
-        }
     }
 
     // ---- Output formats ----
@@ -1687,7 +1025,7 @@ fn t() {
                 Finding {
                     path: "a.rs".to_string(),
                     line: 1,
-                    rule: "D1",
+                    rule: "D4",
                     message: "m1".to_string(),
                 },
                 Finding {
@@ -1701,7 +1039,7 @@ fn t() {
         };
         assert_eq!(
             render_json(&report),
-            "[{\"path\":\"a.rs\",\"line\":1,\"rule\":\"D1\",\"message\":\"m1\"},\
+            "[{\"path\":\"a.rs\",\"line\":1,\"rule\":\"D4\",\"message\":\"m1\"},\
              {\"path\":\"b.rs\",\"line\":2,\"rule\":\"U1\",\"message\":\"m2\"}]"
         );
         assert_eq!(render_json(&Report::default()), "[]");
@@ -1712,13 +1050,13 @@ fn t() {
         let f = Finding {
             path: "crates/x/src/lib.rs".to_string(),
             line: 7,
-            rule: "D2",
+            rule: "S1",
             message: "say \"no\"".to_string(),
         };
-        assert_eq!(f.to_string(), "crates/x/src/lib.rs:7: D2: say \"no\"");
+        assert_eq!(f.to_string(), "crates/x/src/lib.rs:7: S1: say \"no\"");
         assert_eq!(
             f.to_json(),
-            "{\"path\":\"crates/x/src/lib.rs\",\"line\":7,\"rule\":\"D2\",\
+            "{\"path\":\"crates/x/src/lib.rs\",\"line\":7,\"rule\":\"S1\",\
              \"message\":\"say \\\"no\\\"\"}"
         );
     }

@@ -1,37 +1,25 @@
 #![forbid(unsafe_code)]
-//! CLI driver: `cargo run -p simlint [--json] [--threads N] [ROOT]`.
+//! CLI driver: `cargo run -p simlint [--json] [ROOT]`.
 //!
 //! Scans every `.rs` file under `ROOT` (default: the current directory,
 //! which is the workspace root when invoked through `cargo run`) and
 //! prints one diagnostic per violation. Exits 0 when the tree is clean,
 //! 1 when there are findings, 2 on usage or I/O errors — so it slots
 //! directly into `scripts/verify.sh` and CI as a hard gate.
-//!
-//! `--threads N` fans the per-file analysis across N simpar workers
-//! (default: the pool's own sizing). The merge is index-ordered, so the
-//! output is byte-identical at any thread count.
 
 use std::path::PathBuf;
 
 fn usage() -> ! {
-    eprintln!("usage: simlint [--json] [--threads N] [ROOT]");
+    eprintln!("usage: simlint [--json] [ROOT]");
     std::process::exit(2)
 }
 
 fn main() {
     let mut json = false;
-    let mut threads: Option<usize> = None;
     let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
-            "--threads" => {
-                threads = match args.next().map(|n| n.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 1 => Some(n),
-                    _ => usage(),
-                };
-            }
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
             other => {
@@ -43,8 +31,7 @@ fn main() {
         }
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
-    let threads = threads.unwrap_or_else(simpar::available_threads);
-    let report = match simlint::scan_workspace_threads(&root, threads) {
+    let report = match simlint::scan_workspace(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("simlint: {e}");

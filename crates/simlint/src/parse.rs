@@ -18,8 +18,8 @@
 //! Known, deliberate blind spots (documented in DESIGN.md §16): macro
 //! invocation arguments are skipped wholesale, match-arm *guards* are
 //! skipped with the pattern, and struct literals are only recognized for
-//! `UpperCamel` type paths. Each is a soundness-for-noise trade: the
-//! line-level rules (D1–D5) still see every token on every line.
+//! `UpperCamel` type paths. Each is a soundness-for-noise trade: clippy
+//! and the line-level rules still see every token on every line.
 
 use crate::lexer::{Tok, Token};
 

@@ -1,14 +1,15 @@
 //! Rule P1 — transitive purity over the workspace call graph.
 //!
-//! D1 bans wall-clock, thread, and env APIs line by line, but a per-line
-//! scan cannot see *laundering*: a simulation function calling a helper
-//! that calls `Instant::now()` is just as nondeterministic as one
-//! calling it directly. P1 closes that hole. It builds a call graph from
-//! the edges the U1 walk already collected (callee bare name + line per
-//! function), marks every function whose own body touches a banned
-//! token — **including D1-waived sites**, which is the whole point: a
-//! waived `Instant` in `bench` is sanctioned *there*, not wherever its
-//! callers sit — and propagates impurity along call edges to a fixpoint.
+//! Clippy's `disallowed_methods` bans wall-clock, thread, and env APIs
+//! at the call site, but a per-site check cannot see *laundering*: a
+//! simulation function calling a helper that calls `Instant::now()` is
+//! just as nondeterministic as one calling it directly. P1 closes that
+//! hole. It builds a call graph from the edges the U1 walk already
+//! collected (callee bare name + line per function), marks every
+//! function whose own body touches a banned token — **including sites
+//! clippy was told to expect**, which is the whole point: a sanctioned
+//! `Instant` in `bench` is sanctioned *there*, not wherever its callers
+//! sit — and propagates impurity along call edges to a fixpoint.
 //!
 //! Resolution is deliberately conservative. A call edge only conducts
 //! impurity when its bare name resolves to workspace definitions that
@@ -20,18 +21,33 @@
 //! Waivers are boundaries, not blindfolds: a function whose definition
 //! line carries an `allow(P1)` waiver is itself unflagged *and* stops
 //! propagation, so one sanctioned timing call does not cascade findings
-//! all the way up to `main`. Functions that are directly banned are D1's
-//! findings, never P1's. Findings render the full call path down to the
+//! all the way up to `main`. Functions that are directly banned are
+//! clippy's findings, never P1's. Findings render the full call path down to the
 //! banned token so the report reads as a proof, not an accusation.
 //!
 //! Sanctioned crates: `crates/simpar/` may use thread APIs (mirroring
-//! D1's own exemption) and `crates/bench/` exists to hold wall-clock
+//! its site-level clippy expectations) and `crates/bench/` exists to hold wall-clock
 //! timing, so neither produces P1 *findings* — but impurity still flows
 //! **through** bench helpers to callers in simulation crates, which is
 //! exactly how `experiments` timing verbs get caught and must carry
 //! reasoned waivers.
 
 use crate::parse::FnAst;
+
+/// Impurity sources banned everywhere, including `crates/simpar/`:
+/// wall-clock and environment reads, plus `thread::sleep` (a wall-clock
+/// wait). The root `clippy.toml` bans the same APIs at the call site; a
+/// test below keeps the two lists in step.
+pub const CLOCK_TOKENS: [&str; 4] = ["Instant", "SystemTime", "thread::sleep", "env::var"];
+
+/// Impurity sources outside `crates/simpar/`: thread spawning and
+/// anything that reaches the `std::thread` module to do it.
+pub const THREAD_TOKENS: [&str; 4] = [
+    "thread::spawn",
+    "thread::scope",
+    "available_parallelism",
+    "std::thread",
+];
 
 /// One file's worth of P1 input.
 #[derive(Clone, Debug)]
@@ -64,10 +80,10 @@ pub struct PurityFn {
     pub calls: Vec<(String, usize)>,
 }
 
-/// Scans each function's body line range for D1-banned tokens,
-/// *ignoring waivers* (a D1-waived clock is still a P1 impurity
-/// source). Thread tokens are exempt under `crates/simpar/`, exactly as
-/// in D1 itself. Returns the first site per function.
+/// Scans each function's body line range for banned tokens, *ignoring
+/// waivers* (a sanctioned clock is still a P1 impurity source). Thread
+/// tokens are exempt under `crates/simpar/`. Returns the first site per
+/// function.
 pub fn direct_sites(rel: &str, code: &[String], fns: &[FnAst]) -> Vec<Option<(String, usize)>> {
     let thread_ok = crate::is_par_path(rel);
     fns.iter()
@@ -77,13 +93,13 @@ pub fn direct_sites(rel: &str, code: &[String], fns: &[FnAst]) -> Vec<Option<(St
             }
             for line_no in f.line..=f.end_line.min(code.len()) {
                 let line = &code[line_no - 1];
-                for tok in crate::D1_CLOCK_TOKENS {
+                for tok in CLOCK_TOKENS {
                     if token_on_line(line, tok) {
                         return Some((tok.to_string(), line_no));
                     }
                 }
                 if !thread_ok {
-                    for tok in crate::D1_THREAD_TOKENS {
+                    for tok in THREAD_TOKENS {
                         if token_on_line(line, tok) {
                             return Some((tok.to_string(), line_no));
                         }
@@ -179,7 +195,7 @@ pub fn analyze(files: &[PurityFile]) -> Vec<(usize, usize, String)> {
     }
 
     // Findings: transitively impure functions in eligible files.
-    // Directly banned ones are D1's findings, not P1's.
+    // Directly banned ones are clippy's findings, not P1's.
     let mut out = Vec::new();
     for (fi, file) in files.iter().enumerate() {
         if !file.eligible {
@@ -293,7 +309,7 @@ mod tests {
             ],
             &[],
         );
-        // `read_clock` is direct (D1's), `helper_mid` one hop,
+        // `read_clock` is direct (clippy's), `helper_mid` one hop,
         // `step_machine` two hops: both hops are P1 findings.
         assert_eq!(f.len(), 2, "{f:?}");
         let msg = &f.iter().find(|(_, line, _)| *line == 1).unwrap().2;
@@ -377,7 +393,7 @@ mod tests {
             )],
             &[],
         );
-        // Both main and timed_run are flagged (read_clock is D1's).
+        // Both main and timed_run are flagged (read_clock is clippy's).
         assert_eq!(f.len(), 2, "{f:?}");
     }
 
@@ -551,6 +567,36 @@ mod tests {
         assert!(f[0].2.contains("banned `thread::scope`"), "{}", f[0].2);
     }
 
+    /// P1's impurity sources and the clock, thread and env bans in the
+    /// root `clippy.toml` are one decision: every such ban names a P1
+    /// token, and every P1 token names some ban.
+    #[test]
+    fn impurity_tokens_match_clippy_bans() {
+        let banned: Vec<&str> = include_str!("../../../clippy.toml")
+            .lines()
+            .filter_map(|l| l.split("path = \"").nth(1)?.split('"').next())
+            .filter(|p| {
+                ["std::time::", "std::thread::", "std::env::"]
+                    .iter()
+                    .any(|m| p.starts_with(m))
+            })
+            .collect();
+        assert!(banned.len() >= 8, "{banned:?}");
+        let tokens: Vec<&str> = CLOCK_TOKENS.iter().chain(&THREAD_TOKENS).copied().collect();
+        for path in &banned {
+            assert!(
+                tokens.iter().any(|t| path.contains(t)),
+                "clippy.toml bans `{path}` but P1 does not treat it as impure"
+            );
+        }
+        for tok in &tokens {
+            assert!(
+                banned.iter().any(|p| p.contains(tok)),
+                "P1 treats `{tok}` as impure but clippy.toml does not ban it"
+            );
+        }
+    }
+
     // -- direct_sites details ---------------------------------------------
 
     #[test]
@@ -558,7 +604,7 @@ mod tests {
         // The waiver comment lives in the comment stream; the stripped
         // code still carries the token — and P1 must see it.
         let src =
-            "fn start() {\n    let t = Instant::now(); // simlint: allow(D1) — timing crate\n}\n";
+            "fn start() {\n    let t = Instant::now(); // simlint: allow(P1) — timing crate\n}\n";
         let stripped = crate::strip(src);
         let ast = parse_file(&lex(&stripped.code));
         let sites = direct_sites("crates/bench/src/lib.rs", &stripped.code, &ast.fns);

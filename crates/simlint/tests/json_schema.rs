@@ -3,8 +3,8 @@
 //! and uploads it as an artifact, so the schema is a contract — if this
 //! test needs updating, downstream tooling needs updating too.
 //!
-//! The fixture tree seeds exactly one finding per rule (D1–D5, P1, S1,
-//! U1, W0), which also proves every rule survives the trip through the
+//! The fixture tree seeds exactly one finding per rule (D4, P1, S1, U1,
+//! W0), which also proves every rule survives the trip through the
 //! workspace scanner, not just through per-file unit fixtures.
 
 #![expect(
@@ -14,16 +14,13 @@
 
 use std::path::PathBuf;
 
-/// One finding per rule: D1 (line 1), D2 (2), D3 (3), D4 (4), D5 (5),
-/// P1 (6, two-hop reach into line 1), U1 (7), W0 (8, unknown rule with
-/// a quote to exercise escaping).
+/// One finding per rule: D4 (line 2), P1 (3, reach into the clock read
+/// on line 1, which is clippy's finding), U1 (4), W0 (5, unknown rule
+/// with a quote to exercise escaping).
 const SIM_SRC: &str = "\
-fn d1() { let t = Instant::now(); }\n\
-use std::collections::HashMap;\n\
-fn d3(x: f64) -> bool { x == 1.5 }\n\
+fn clock() { let t = Instant::now(); }\n\
 pub fn energy_total() -> f64 { 0.0 }\n\
-fn d5(x: Option<u32>) { x.unwrap(); }\n\
-fn reach() { d1(); }\n\
+fn reach() { clock(); }\n\
 fn u1(e_j: f64, p_w: f64) -> f64 { e_j + p_w }\n\
 fn w0() {} // simlint: allow(D\"9) — escaping check\n";
 
@@ -51,28 +48,15 @@ fn json_output_schema_is_pinned() {
     let report = simlint::scan_workspace(&root).expect("scan fixture tree");
     let expected = concat!(
         "[",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":1,\"rule\":\"D1\",\"message\":\"",
-        "`Instant` in simulation code: use simcore::SimTime, route wall-clock timing ",
-        "through bench::Stopwatch, or fan work out via the simpar pool (the only crate ",
-        "allowed to touch std::thread)\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":2,\"rule\":\"D2\",\"message\":\"",
-        "`HashMap` has randomized iteration order; use `BTreeMap` or waive with a proof ",
-        "of order-insensitivity\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":3,\"rule\":\"D3\",\"message\":\"",
-        "float equality against a non-zero literal (`1.5`): compare with an explicit ",
-        "tolerance or total_cmp\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":4,\"rule\":\"D4\",\"message\":\"",
+        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":2,\"rule\":\"D4\",\"message\":\"",
         "public fn `energy_total` returns a unit-carrying f64 but its name does not say ",
         "the unit: end it in _j/_w/_s/_mw (see apps::units)\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":5,\"rule\":\"D5\",\"message\":\"",
-        "`.unwrap()` in non-test code: propagate the error, restructure, or waive with the ",
-        "invariant that makes it unreachable\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":6,\"rule\":\"P1\",\"message\":\"",
-        "transitively reaches a banned API: `reach` → `d1` (crates/sim/src/lib.rs:1); ",
+        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":3,\"rule\":\"P1\",\"message\":\"",
+        "transitively reaches a banned API: `reach` → `clock` (crates/sim/src/lib.rs:1); ",
         "banned `Instant` at crates/sim/src/lib.rs:1\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":7,\"rule\":\"U1\",\"message\":\"",
+        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":4,\"rule\":\"U1\",\"message\":\"",
         "dimension mismatch: `+` combines J (from `e_j`) with J/s (from `p_w`)\"},",
-        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":8,\"rule\":\"W0\",\"message\":\"",
+        "{\"path\":\"crates/sim/src/lib.rs\",\"line\":5,\"rule\":\"W0\",\"message\":\"",
         "waiver names unknown rule `D\\\"9`\"},",
         "{\"path\":\"crates/simserve/src/lib.rs\",\"line\":3,\"rule\":\"S1\",\"message\":\"",
         "service-layer entry point `ingest` takes `&mut self` but does not return ",

@@ -30,7 +30,9 @@ fn read(path: &Path) -> String {
 }
 
 fn write(path: &Path, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    let made = path.parent().map_or(Ok(()), std::fs::create_dir_all);
+    made.and_then(|()| std::fs::write(path, text))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 /// The `//~` markers of one fixture file.
@@ -69,7 +71,6 @@ fn clippy_enforces_the_retired_simlint_rules() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/lint_parity");
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint_parity");
     let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("mkdir fixture workspace");
 
     let manifest = read(&repo.join("Cargo.toml"));
     let table = manifest
@@ -85,38 +86,31 @@ fn clippy_enforces_the_retired_simlint_rules() {
     assert!(forbids.contains("unwrap_used"), "simserve forbids moved");
 
     let mut want = BTreeSet::new();
-    let members: Vec<String> = CRATES.iter().map(|(c, ..)| format!("\"{c}\"")).collect();
     write(
         &root.join("Cargo.toml"),
-        &format!(
-            "[workspace]\nmembers = [{}]\n\n[{table}",
-            members.join(", ")
-        ),
+        &format!("[workspace]\nmembers = [\"crates/*\"]\n\n[{table}"),
     );
     for (name, files, service) in CRATES {
-        std::fs::create_dir_all(root.join(name).join("src")).expect("mkdir fixture crate");
+        let dir = root.join("crates").join(name);
         write(
-            &root.join(name).join("Cargo.toml"),
+            &dir.join("Cargo.toml"),
             &format!(
                 "[package]\nname = \"{name}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n\
                  [lints]\nworkspace = true\n"
             ),
         );
-        let mut lib = if service {
-            forbids.clone()
-        } else {
-            String::new()
-        };
+        let mut lib = if service { &forbids } else { "" }.to_string();
         for file in files {
             let src = read(&fixtures.join(file));
             want.extend(expected(file, &src));
-            write(&root.join(name).join("src").join(file), &src);
+            write(&dir.join("src").join(file), &src);
             lib.push_str(&format!("pub mod {};\n", file.trim_end_matches(".rs")));
         }
-        write(&root.join(name).join("src/lib.rs"), &lib);
+        write(&dir.join("src/lib.rs"), &lib);
     }
 
     let out = Command::new(env!("CARGO"))
+        .current_dir(&root)
         .args([
             "clippy",
             "--workspace",
@@ -124,14 +118,12 @@ fn clippy_enforces_the_retired_simlint_rules() {
             "--keep-going",
             "--offline",
         ])
-        .args(["--message-format=json-diagnostic-short", "--manifest-path"])
-        .arg(root.join("Cargo.toml"))
+        .arg("--message-format=json-diagnostic-short")
         .env("CARGO_TARGET_DIR", root.join("target"))
         .env("CLIPPY_CONF_DIR", &repo)
         .output()
         .expect("run cargo clippy");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let got: BTreeSet<Hit> = stdout
+    let got: BTreeSet<Hit> = String::from_utf8_lossy(&out.stdout)
         .lines()
         .filter(|l| l.contains("\"reason\":\"compiler-message\""))
         .filter_map(hit)

@@ -9,28 +9,13 @@ pub fn wall() -> std::time::SystemTime { //~ disallowed_types
     std::time::SystemTime::now() //~ disallowed_methods disallowed_types
 }
 
-pub fn nap(d: std::time::Duration) {
+pub fn reads(d: std::time::Duration) -> Option<String> {
     std::thread::sleep(d); //~ disallowed_methods
-}
-
-pub fn config() -> Option<String> {
-    std::env::var("X").ok() //~ disallowed_methods
-}
-
-pub fn config_os() -> Option<std::ffi::OsString> {
-    std::env::var_os("X") //~ disallowed_methods
-}
-
-pub fn spawn() {
     drop(std::thread::spawn(|| ())); //~ disallowed_methods
-}
-
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()) //~ disallowed_methods
-}
-
-pub fn scoped() {
     std::thread::scope(|_| ()); //~ disallowed_methods
+    let _ = std::thread::available_parallelism(); //~ disallowed_methods
+    let _ = std::env::var_os("X"); //~ disallowed_methods
+    std::env::var("X").ok() //~ disallowed_methods
 }
 
 /// The simpar carve-out is a site-level expectation; it leaves the

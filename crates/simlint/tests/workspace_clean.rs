@@ -2,10 +2,10 @@
 //!
 //! This is the same check `scripts/verify.sh` and CI run via the binary,
 //! kept as a test so `cargo test` alone catches a regression: any new
-//! wall-clock read, hash map, float equality, unit-less name, or unwrap
-//! lands here as a failure with the full diagnostic list — and since the
-//! scan includes the workspace passes, so does any dimensional mismatch
-//! (U1) or unwaived transitive wall-clock reach (P1).
+//! unit-less name or non-`Result` service entry point lands here as a
+//! failure with the full diagnostic list — and since the scan includes
+//! the workspace passes, so does any dimensional mismatch (U1) or
+//! unwaived transitive wall-clock reach (P1).
 
 use std::path::Path;
 

@@ -16,19 +16,16 @@ cargo fmt --check
 echo "== lint: clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== lint: clippy on perfbench (its own workspace; finds the root clippy.toml) =="
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings \
+    -D clippy::unwrap_used -D clippy::expect_used -D clippy::float_cmp \
+    -D clippy::disallowed_methods -D clippy::disallowed_types
+
 echo "== lint: clippy enforces the retired simlint line rules (lint parity) =="
 cargo test -q -p simlint --test lint_parity
 
-echo "== lint: simlint (determinism, dimensional-analysis & purity rules) =="
+echo "== lint: simlint (unit naming, dimensional-analysis, purity & service-API rules) =="
 cargo run --release -q -p simlint
-
-echo "== lint: simlint fanned scan byte-equality (1 vs 8 threads) =="
-lint_1="$(cargo run --release -q -p simlint -- --json --threads 1)"
-lint_8="$(cargo run --release -q -p simlint -- --json --threads 8)"
-if [ "$lint_1" != "$lint_8" ]; then
-    echo "fanned simlint scan diverges from serial (merge-order bug)" >&2
-    exit 1
-fi
 
 echo "== chaos: fixed-seed determinism smoke =="
 out_a="$(cargo run --release -q -p experiments -- chaos --trials 1 --seed 7 2>/dev/null)"
