@@ -1413,8 +1413,18 @@ impl Machine {
         }
         self.procs[pid.0].suspended = false;
         self.procs[pid.0].attempts = 0;
-        self.procs[pid.0].state = ProcState::Start;
-        self.queue.push(now, Event::Poll(pid));
+        match (&mut self.procs[pid.0].state, self.current) {
+            // Quarantined mid-slice: the old incarnation's CPU job ends
+            // with the slice in flight, and `on_cpu_done` then polls the
+            // restarted workload.
+            (ProcState::ReadyCpu(job), Some((Source::Proc(q), slice))) if q == pid => {
+                job.remaining = slice;
+            }
+            (state, _) => {
+                *state = ProcState::Start;
+                self.queue.push(now, Event::Poll(pid));
+            }
+        }
         self.acquire_alive(pid);
         let level = self.procs[pid.0].workload.fidelity().level as f64;
         self.fidelity_series[pid.0].record(now, level);

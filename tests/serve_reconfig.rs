@@ -144,6 +144,30 @@ fn reconfig_during_quarantine_is_validated_not_panicked() {
     );
 }
 
+/// Re-admitting an app whose last CPU slice is still in flight (the
+/// Supervisor quarantined it mid-quantum) restarts it cleanly once the
+/// slice ends; the machine used to panic when that slice completed.
+#[test]
+fn readmit_during_an_in_flight_cpu_slice_restarts_cleanly() {
+    let run = || {
+        let mut s = build_session(47).expect("supervised rig");
+        let mut batch: Vec<Sample> = (1..=266).map(|t| Sample::tick(f64::from(t))).collect();
+        batch.push(Sample::reconfig(266.74, ReconfigCommand::Readmit(VIDEO)));
+        batch.extend((267..296).map(|t| Sample::tick(f64::from(t))));
+        let out = s
+            .ingest(&batch)
+            .expect("a mid-slice readmit must not kill the session");
+        let pid = VIDEO as u64;
+        assert!(
+            out.iter()
+                .any(|d| matches!(d, Directive::Restarted { pid: p, .. } if *p == pid)),
+            "no Restarted directive in {out:?}"
+        );
+        s.digest()
+    };
+    assert_eq!(run(), run());
+}
+
 /// An applied goal revision is live: with the deadline pulled in to
 /// 600 s the controller ends the run there, and later samples are
 /// dead-lettered as arriving after the stop.
