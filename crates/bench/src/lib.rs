@@ -18,18 +18,16 @@
 //! prints min/mean/max wall-clock times.
 //!
 //! Everything inside the simulation reads time from `simcore::SimTime`;
-//! simlint rule D1 forbids `std::time` there — and rule P1 makes the ban
-//! transitive over the call graph, so the waivers here double as purity
-//! boundaries: callers of [`Stopwatch`] stay clean because the waiver's
-//! reason is precisely that wall-clock reach stops at measurement.
+//! the workspace's clippy configuration bans `std::time` there, and
+//! simlint rule P1 makes the ban transitive over the call graph.
 //! Measuring how long the simulator itself takes is the one legitimate
-//! wall-clock use, so it is concentrated here, behind waivers that this
-//! doc comment justifies. The sweep module also parses committed
-//! `bench_sweep/v1` baselines back in and compares speedups, powering
+//! wall-clock use, so it is concentrated here, behind `#[expect]`s that
+//! this doc comment justifies; callers that time real execution carry
+//! their own P1 waivers. The sweep module also parses committed
+//! `bench_sweep/v2` baselines back in and compares speedups, powering
 //! the `bench --check` regression gate.
 
-/// The workspace's single sanctioned wall-clock escape hatch (simlint
-/// D1): measures real elapsed time for benches and CLI progress lines.
+/// The workspace's single sanctioned wall-clock escape hatch: measures real elapsed time for benches and CLI progress lines.
 /// Simulation code must never touch it — simulated time is `SimTime`.
 #[derive(Copy, Debug)]
 pub struct Stopwatch {

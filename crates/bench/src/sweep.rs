@@ -4,11 +4,9 @@
 //! and reports wall-clock medians plus the speedup relative to the serial
 //! (`threads = 1`) run of the same scenario. Results serialize to the
 //! `bench_sweep/v2` JSON document (`BENCH_sweep.json`) that CI archives
-//! as the performance baseline; [`parse_sweep_json`] still accepts the
-//! older `bench_sweep/v1` layout (its scheduler-metadata fields read as
-//! zero/unknown).
+//! as the performance baseline, and [`parse_sweep_json`] reads it back.
 //!
-//! Since v2 every record carries the host's available parallelism and
+//! Every record carries the host's available parallelism and
 //! the work pool's dispatch metadata (dispatches, inline fallbacks,
 //! chunks claimed, workers spawned) for the scenario, so a speedup
 //! regression in `bench --check` is diagnosable from the artifact
@@ -60,7 +58,7 @@ impl BenchRecord {
     /// did or did not fan out.
     pub fn sched_summary(&self) -> String {
         if self.pool_dispatches == 0 {
-            // Pre-v2 record (or a scenario that never dispatched).
+            // A scenario that never dispatched.
             "-".to_string()
         } else if self.pool_inline_runs == self.pool_dispatches {
             format!("inline x{}", self.pool_inline_runs)
@@ -134,17 +132,12 @@ pub fn render_sweep_json(records: &[BenchRecord]) -> String {
     out
 }
 
-/// Parses a `bench_sweep/v1` *or* `/v2` document back into records —
-/// the inverse of [`render_sweep_json`], hand-rolled against the same
+/// Parses a `bench_sweep/v2` document back into records — the inverse
+/// of [`render_sweep_json`], hand-rolled against the same
 /// line-per-record layout so the bench crate stays dependency-free.
-/// v1 records carry no scheduler metadata; their v2-only fields parse
-/// as zero (meaning "unknown"), which [`speedup_regressions`] never
-/// compares.
 pub fn parse_sweep_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    if !text.contains("\"schema\": \"bench_sweep/v1\"")
-        && !text.contains("\"schema\": \"bench_sweep/v2\"")
-    {
-        return Err("not a bench_sweep/v1 or /v2 document".to_string());
+    if !text.contains("\"schema\": \"bench_sweep/v2\"") {
+        return Err("not a bench_sweep/v2 document".to_string());
     }
     let mut records = Vec::new();
     for line in text.lines() {
@@ -160,21 +153,11 @@ pub fn parse_sweep_json(text: &str) -> Result<Vec<BenchRecord>, String> {
             min_wall_ms: num_field(trimmed, "min_wall_ms")?,
             speedup_vs_serial: num_field(trimmed, "speedup_vs_serial")?,
             work_per_s: num_field(trimmed, "directives_per_s").ok(),
-            host_threads: num_field(trimmed, "host_threads")
-                .map(|v| v as usize)
-                .unwrap_or(0),
-            pool_dispatches: num_field(trimmed, "pool_dispatches")
-                .map(|v| v as u64)
-                .unwrap_or(0),
-            pool_inline_runs: num_field(trimmed, "pool_inline_runs")
-                .map(|v| v as u64)
-                .unwrap_or(0),
-            pool_chunks: num_field(trimmed, "pool_chunks")
-                .map(|v| v as u64)
-                .unwrap_or(0),
-            pool_workers: num_field(trimmed, "pool_workers")
-                .map(|v| v as u64)
-                .unwrap_or(0),
+            host_threads: num_field(trimmed, "host_threads")? as usize,
+            pool_dispatches: num_field(trimmed, "pool_dispatches")? as u64,
+            pool_inline_runs: num_field(trimmed, "pool_inline_runs")? as u64,
+            pool_chunks: num_field(trimmed, "pool_chunks")? as u64,
+            pool_workers: num_field(trimmed, "pool_workers")? as u64,
         });
     }
     if records.is_empty() {
@@ -405,25 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_v1_documents_without_scheduler_metadata() {
-        // The pre-v2 layout must keep parsing (old baselines, old CI
-        // artifacts); its v2-only fields read as zero/unknown.
-        let v1 = "{\n  \"schema\": \"bench_sweep/v1\",\n  \"records\": [\n    \
-                  {\"scenario\": \"fig2\", \"threads\": 2, \"reps\": 3, \
-                  \"median_wall_ms\": 1.765, \"min_wall_ms\": 1.694, \
-                  \"speedup_vs_serial\": 1.188}\n  ]\n}\n";
-        let parsed = parse_sweep_json(v1).expect("parse v1");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].scenario, "fig2");
-        assert!((parsed[0].speedup_vs_serial - 1.188).abs() < 1e-9);
-        assert_eq!(parsed[0].host_threads, 0);
-        assert_eq!(parsed[0].pool_dispatches, 0);
-        assert_eq!(parsed[0].sched_summary(), "-");
-    }
-
-    #[test]
     fn parse_rejects_foreign_and_empty_documents() {
         assert!(parse_sweep_json("{\"schema\": \"other/v1\"}").is_err());
+        assert!(parse_sweep_json("{\"schema\": \"bench_sweep/v1\"}").is_err());
         assert!(parse_sweep_json("{\"schema\": \"bench_sweep/v3\"}").is_err());
         assert!(parse_sweep_json(
             "{\n  \"schema\": \"bench_sweep/v2\",\n  \"records\": [\n  ]\n}\n"
