@@ -1769,20 +1769,20 @@ impl Machine {
         let (src, slice) = self.current.take().expect("CpuDone without current");
         match src {
             Source::Proc(pid) => {
-                let finished = {
-                    let ProcState::ReadyCpu(job) = &mut self.procs[pid.0].state else {
-                        panic!("running process not in ReadyCpu state");
-                    };
+                // A process that left the CPU path mid-slice drops the
+                // slice, as `dispatch` skips it (should not happen: a
+                // restart waits for the slice in flight).
+                if let ProcState::ReadyCpu(job) = &mut self.procs[pid.0].state {
                     job.remaining = job.remaining.saturating_sub(slice);
-                    job.remaining.is_zero()
-                };
-                if self.procs[pid.0].suspended {
-                    // Quarantined mid-slice: park instead of re-queueing.
-                    self.procs[pid.0].state = ProcState::Suspended;
-                } else if finished {
-                    self.schedule_poll(pid);
-                } else {
-                    self.run_queue.push_back(src);
+                    let finished = job.remaining.is_zero();
+                    if self.procs[pid.0].suspended {
+                        // Quarantined mid-slice: park instead of re-queueing.
+                        self.procs[pid.0].state = ProcState::Suspended;
+                    } else if finished {
+                        self.schedule_poll(pid);
+                    } else {
+                        self.run_queue.push_back(src);
+                    }
                 }
             }
             Source::XServer => {
