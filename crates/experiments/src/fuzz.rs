@@ -14,24 +14,25 @@
 //!    fresh sessions; digests, dead-letter totals, and ledger bounds
 //!    must agree;
 //! 2. **recovery** — freeze mid-stream, thaw into a fresh shell, finish
-//!    the stream there; the recovered digest must equal the
-//!    uninterrupted one (falling back to full replay when the freeze
-//!    itself is refused);
+//!    the stream there; the recovered digest and directive stream must
+//!    equal the uninterrupted ones (falling back to full replay when the
+//!    freeze itself is refused);
 //! 3. **crosstalk** — a two-slot [`Server`] interleaving the hostile
 //!    stream with a clean one; the clean slot must end byte-identical
 //!    to a solo clean run, proving slot isolation under attack.
 //!
 //! The harness fails on any panic (contained or not), any invariant the
 //! session does not surface as a `Result`, any ledger exceeding its
-//! bound, or any recovery digest instability. Failures carry the root
-//! seed, stream index, and mutation list — enough to replay the exact
-//! stream — and the CLI saves them (plus the mutated stream and a
-//! snapshot of the surviving state) under `target/fuzz/` for CI upload.
+//! bound, or any recovery digest or directive instability. Failures
+//! carry the root seed, stream index, and mutation list — enough to
+//! replay the exact stream — and the CLI saves them (plus the mutated
+//! stream and a snapshot of the surviving state) under `target/fuzz/`
+//! for CI upload.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use simcore::{SimDuration, SimRng, SimTime};
-use simserve::{ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth};
+use simserve::{Directive, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth};
 
 use crate::serve;
 
@@ -56,6 +57,8 @@ struct StreamStats {
 /// snapshot when a mid-stream freeze was requested and granted.
 struct HostileRun {
     digest: u64,
+    /// Every directive ingest returned, across a freeze/thaw pivot.
+    directives: Vec<Directive>,
     dead_total: u64,
     ingest_errors: u64,
     max_ledger_len: usize,
@@ -193,6 +196,7 @@ fn drive(
     let mut session = build(seed)?;
     let mut ingest_errors = 0u64;
     let mut max_ledger_len = 0usize;
+    let mut directives = Vec::new();
     let mut stopped = false;
     for (ci, chunk) in samples.chunks(BATCH).enumerate() {
         if Some(ci) == freeze_at_chunk && !stopped {
@@ -208,7 +212,7 @@ fn drive(
         }
         if !stopped {
             match guarded_ingest(&mut session, chunk)? {
-                Ok(_) => {}
+                Ok(out) => directives.extend(out),
                 Err(_) => {
                     // Surfaced as a Result: exactly the contract. The
                     // session refuses further input in this state.
@@ -235,6 +239,7 @@ fn drive(
     };
     Ok(HostileRun {
         digest: session.digest(),
+        directives,
         dead_total: session.dead_letters().map(|d| d.total()).unwrap_or(0),
         ingest_errors,
         max_ledger_len,
@@ -251,8 +256,8 @@ fn build(seed: u64) -> Result<Session, String> {
 fn guarded_ingest(
     session: &mut Session,
     chunk: &[Sample],
-) -> Result<Result<usize, ServeError>, String> {
-    catch_unwind(AssertUnwindSafe(|| session.ingest(chunk).map(|d| d.len())))
+) -> Result<Result<Vec<Directive>, ServeError>, String> {
+    catch_unwind(AssertUnwindSafe(|| session.ingest(chunk)))
         .map_err(|p| format!("PANIC during ingest: {}", panic_text(&p)))
 }
 
@@ -309,6 +314,15 @@ fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, 
         return Err(format!(
             "recovery dead-letter total unstable: {} != {}",
             recovered.dead_total, straight.dead_total
+        ));
+    }
+    // Pre-pivot directives followed by the thawed twin's must be the
+    // straight run's: nothing lost or repeated across freeze/thaw.
+    if recovered.directives != straight.directives {
+        return Err(format!(
+            "recovery directives unstable: thawed-at-chunk-{pivot} issued {} != straight {}",
+            recovered.directives.len(),
+            straight.directives.len()
         ));
     }
     Ok(StreamStats {

@@ -56,17 +56,13 @@ pub fn build_session(seed: u64) -> Result<Session, ServeError> {
     let rig = supervise::build_one(2, true, &mut rng);
     // The supervise golden categories plus the service layer's own
     // events (reconfig verdicts, dead letters).
-    let trace = TraceHandle::new(
-        TraceSink::new()
-            .with_categories(&[
-                TraceCategory::Net,
-                TraceCategory::Fault,
-                TraceCategory::Control,
-                TraceCategory::Supervisor,
-                TraceCategory::Service,
-            ])
-            .with_jsonl(),
-    );
+    let trace = TraceHandle::new(TraceSink::new().with_categories(&[
+        TraceCategory::Net,
+        TraceCategory::Fault,
+        TraceCategory::Control,
+        TraceCategory::Supervisor,
+        TraceCategory::Service,
+    ]));
     let cfg = SessionConfig {
         checkpoint_every: SimDuration::from_secs(CKPT_EVERY_S),
         ..SessionConfig::standard(rig.horizon)

@@ -51,12 +51,13 @@ fn categories(scenario: &str) -> Option<Vec<TraceCategory>> {
     })
 }
 
-/// Replays one scenario with a JSONL trace attached and returns the
-/// recorded lines. Unknown scenarios are an error.
+/// Replays one scenario with a trace attached and returns the recorded
+/// lines. Unknown scenarios, and a ring that evicted records, are
+/// errors.
 pub fn record(scenario: &str, seed: u64) -> Result<Vec<String>, String> {
     let cats = categories(scenario)
         .ok_or_else(|| format!("unknown trace scenario: {scenario} (have {SCENARIOS:?})"))?;
-    let handle = TraceHandle::new(TraceSink::new().with_categories(&cats).with_jsonl());
+    let handle = TraceHandle::new(TraceSink::new().with_categories(&cats));
     match scenario {
         "fig2" => {
             let (_scope, mut m) = fig2::build(seed);
@@ -96,7 +97,16 @@ pub fn record(scenario: &str, seed: u64) -> Result<Vec<String>, String> {
         }
         other => return Err(format!("unknown trace scenario: {other}")),
     }
-    Ok(handle.jsonl())
+    whole_trace(scenario, &handle)
+}
+
+/// The JSONL of a finished recording. It is rendered from the ring, so
+/// a ring that evicted anything cannot yield (or check) a golden.
+fn whole_trace(scenario: &str, handle: &TraceHandle) -> Result<Vec<String>, String> {
+    match handle.evicted() {
+        0 => Ok(handle.jsonl()),
+        n => Err(format!("{scenario}: trace ring evicted {n} records")),
+    }
 }
 
 /// Directory holding the checked-in golden traces.
@@ -240,6 +250,19 @@ mod tests {
     #[test]
     fn unknown_scenario_is_an_error() {
         assert!(record("fig99", 1).is_err());
+    }
+
+    #[test]
+    fn an_evicting_ring_cannot_record_a_golden() {
+        use simcore::{SimTime, TraceEvent};
+        let handle = TraceHandle::new(TraceSink::new().with_capacity(2));
+        let ev = TraceEvent::GoalInfeasible;
+        handle.emit(SimTime::ZERO, ev);
+        handle.emit(SimTime::from_secs(1), ev);
+        assert_eq!(whole_trace("tiny", &handle).map(|l| l.len()), Ok(2));
+        handle.emit(SimTime::from_secs(2), ev);
+        let err = whole_trace("tiny", &handle).unwrap_err();
+        assert!(err.contains("evicted 1 records"), "{err}");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! state on its period and records (time, digest) proof points into a
 //! shared [`RunJournal`]. Because the simulation is deterministic, resume
 //! is replay: rebuild the identical rig, run to the journaled checkpoint,
-//! assert the digest matches, and continue. The hook itself perturbs
-//! nothing — it inserts the same events whether or not a crash occurs, so
-//! a checkpointed run and its resumed twin share one event timeline.
+//! assert the digest matches, and continue. Each recorded checkpoint is
+//! also posted to the machine's directive outbox. The hook itself
+//! perturbs nothing — it inserts the same events whether or not a crash
+//! occurs, so a checkpointed run and its resumed twin share one event
+//! timeline.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use simcore::{RunJournal, SimTime};
 
+use crate::directive::Directive;
 use crate::machine::{ControlHook, MachineView};
 
 /// Control hook that records state digests into a shared run journal.
@@ -39,7 +42,13 @@ impl ControlHook for CheckpointHook {
         let mut journal = self.journal.borrow_mut();
         if journal.is_due(now) {
             let digest = view.state_digest();
+            let seq = journal.checkpoints().len() as u64;
             journal.record_if_due(now, || digest);
+            view.post_directive(Directive::Checkpointed {
+                seq,
+                at: now,
+                digest,
+            });
         }
     }
 

@@ -29,6 +29,7 @@
 
 pub mod activity;
 pub mod checkpoint;
+pub mod directive;
 pub mod energy;
 pub mod faults;
 pub mod machine;
@@ -37,6 +38,7 @@ pub mod workload;
 
 pub use activity::{Activity, AdaptDirection, FidelityView, Step};
 pub use checkpoint::CheckpointHook;
+pub use directive::Directive;
 pub use energy::{ComponentTotals, ProcDetail, RunReport};
 pub use faults::{FaultConfig, RpcPolicy};
 pub use machine::{ControlHook, Machine, MachineConfig, MachineView, Pid, ProcessInfo};

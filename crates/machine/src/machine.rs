@@ -27,6 +27,7 @@ use simcore::{
 };
 
 use crate::activity::{Activity, AdaptDirection, FidelityView, Step};
+use crate::directive::Directive;
 use crate::energy::{Ledger, RunReport};
 use crate::faults::FaultConfig;
 use crate::observer::{IntervalObserver, IntervalRecord, ShareEntry};
@@ -327,11 +328,19 @@ impl MachineView<'_> {
         self.m.stopped = true;
     }
 
-    /// Emits a trace event at the current clock (no-op when no trace is
-    /// attached) — how control-plane hooks report their decisions into
-    /// the machine's shared event stream.
+    /// Emits a trace event at the current clock — how control-plane
+    /// hooks report their decisions. A directive-bearing event also goes
+    /// to the outbox (see [`Machine::emit_at`]).
     pub fn emit_trace(&mut self, event: TraceEvent) {
         self.m.trace_emit(event);
+    }
+
+    /// Pushes a directive no trace event stands for into the outbox
+    /// (no-op while it is closed).
+    pub(crate) fn post_directive(&mut self, directive: Directive) {
+        if let Some(out) = &mut self.m.outbox {
+            out.push(directive);
+        }
     }
 
     /// Whether a trace is attached and records `cat`.
@@ -709,6 +718,9 @@ pub struct Machine {
     hooks: Vec<HookSlot>,
     share_buf: Vec<ShareEntry>,
     trace: Option<TraceHandle>,
+    /// Directives not yet drained; `Some` once [`Machine::open_outbox`]
+    /// ran. Output, not state: never frozen, never digested.
+    outbox: Option<Vec<Directive>>,
     stopped: bool,
     exhausted: bool,
     started: bool,
@@ -763,6 +775,7 @@ impl Machine {
             hooks: Vec::new(),
             share_buf: Vec::new(),
             trace: None,
+            outbox: None,
             stopped: false,
             exhausted: false,
             started: false,
@@ -779,11 +792,33 @@ impl Machine {
         self.trace = Some(trace);
     }
 
-    /// Emits `event` at the current clock if a trace is attached.
-    fn trace_emit(&self, event: TraceEvent) {
-        if let Some(tr) = &self.trace {
-            tr.emit(self.clock, event);
+    /// Opens the directive outbox: from now on every control-plane
+    /// action is also pushed as a [`Directive`], whatever the trace and
+    /// its category mask. Serving sessions open it; batch runs do not.
+    pub fn open_outbox(&mut self) {
+        self.outbox.get_or_insert_with(Vec::new);
+    }
+
+    /// Takes every directive pushed since the last drain, in emission
+    /// order (empty while the outbox is closed).
+    pub fn drain_outbox(&mut self) -> Vec<Directive> {
+        self.outbox.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Emits `event` stamped `at`: into the outbox when it stands for a
+    /// directive, then into the trace if one is attached.
+    pub fn emit_at(&mut self, at: SimTime, event: TraceEvent) {
+        if let Some(out) = &mut self.outbox {
+            out.extend(Directive::from_event(at, &event));
         }
+        if let Some(tr) = &self.trace {
+            tr.emit(at, event);
+        }
+    }
+
+    /// [`Machine::emit_at`] at the current clock.
+    fn trace_emit(&mut self, event: TraceEvent) {
+        self.emit_at(self.clock, event);
     }
 
     /// Whether a trace is attached and records `cat` (lets hot paths skip
@@ -1420,6 +1455,10 @@ impl Machine {
             (ProcState::ReadyCpu(job), Some((Source::Proc(q), slice))) if q == pid => {
                 job.remaining = slice;
             }
+            // Quarantined mid disk operation: the pending completion
+            // event finishes it, and `on_disk_done` then polls the
+            // restarted workload.
+            (ProcState::DiskSpinup { .. } | ProcState::DiskBusy, _) => {}
             (state, _) => {
                 *state = ProcState::Start;
                 self.queue.push(now, Event::Poll(pid));
@@ -2436,6 +2475,97 @@ mod tests {
             "disk energy {d} vs expected {expected}"
         );
         assert!((report.duration_s() - 60.0).abs() < 0.01);
+    }
+
+    /// A restartable disk reader that logs every poll: read 3 MB (spin-up
+    /// 0–1.5 s, transfer 1.5–2.5 s under PM), wait until 10 s, done.
+    struct DiskReader {
+        polls: Rc<RefCell<Vec<SimTime>>>,
+    }
+
+    impl Workload for DiskReader {
+        fn name(&self) -> &'static str {
+            "dreader"
+        }
+        fn poll(&mut self, now: SimTime) -> Step {
+            let mut polls = self.polls.borrow_mut();
+            polls.push(now);
+            match polls.len() {
+                1 => Step::Run(Activity::DiskRead {
+                    bytes: 3_000_000,
+                    procedure: "read",
+                }),
+                2 => Step::Run(Activity::Wait {
+                    until: SimTime::from_secs(10),
+                }),
+                _ => Step::Done,
+            }
+        }
+        fn on_restart(&mut self, _now: SimTime) -> bool {
+            true
+        }
+    }
+
+    /// Quarantines the process at `suspend_at` (checking it is in the
+    /// disk phase `phase`) and re-admits it at `restart_at`.
+    struct DiskQuarantine {
+        suspend_at: SimTime,
+        restart_at: SimTime,
+        phase: u64,
+    }
+
+    impl ControlHook for DiskQuarantine {
+        fn on_tick(&mut self, now: SimTime, view: &mut MachineView<'_>) {
+            if now == self.suspend_at {
+                assert_eq!(view.m.procs[0].state.tag(), self.phase);
+                assert!(view.suspend(Pid(0)));
+            } else if now == self.restart_at {
+                assert_eq!(view.m.procs[0].state.tag(), self.phase);
+                assert!(view.restart(Pid(0)));
+            }
+        }
+    }
+
+    /// Runs the disk reader through a quarantine and re-admit inside one
+    /// disk phase; returns the poll log and the final digest.
+    fn restart_mid_disk(suspend_ms: u64, restart_ms: u64, phase: u64) -> (Vec<SimTime>, u64) {
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let mut m = idle_machine(PmPolicy::enabled());
+        m.add_process(Box::new(DiskReader {
+            polls: polls.clone(),
+        }));
+        m.add_hook(
+            SimDuration::from_millis(100),
+            Box::new(DiskQuarantine {
+                suspend_at: SimTime::from_micros(suspend_ms * 1000),
+                restart_at: SimTime::from_micros(restart_ms * 1000),
+                phase,
+            }),
+        );
+        let _ = m.run_until(SimTime::from_secs(20));
+        let log = polls.borrow().clone();
+        (log, m.state_digest())
+    }
+
+    /// A restart during a disk operation leaves it to complete: the
+    /// completion polls the restarted workload exactly once, in both the
+    /// spin-up and the transfer phase, and the run is reproducible.
+    #[test]
+    fn restart_mid_disk_operation_polls_once_after_completion() {
+        let spinup = ProcState::DiskSpinup { bytes: 0 }.tag();
+        let busy = ProcState::DiskBusy.tag();
+        for (suspend_ms, restart_ms, phase) in [(500, 1000, spinup), (1800, 2200, busy)] {
+            let (polls, digest) = restart_mid_disk(suspend_ms, restart_ms, phase);
+            let expected: Vec<SimTime> = [0, 2_500_000, 10_000_000]
+                .into_iter()
+                .map(SimTime::from_micros)
+                .collect();
+            assert_eq!(polls, expected, "phase {phase}");
+            assert_eq!(
+                restart_mid_disk(suspend_ms, restart_ms, phase),
+                (polls, digest)
+            );
+        }
     }
 
     /// XRender work is attributed to the X Server bucket and does not

@@ -23,7 +23,7 @@
 //! ```
 //! use simcore::{SimTime, TraceCategory, TraceEvent, TraceHandle, TraceSink};
 //!
-//! let trace = TraceHandle::new(TraceSink::new().with_jsonl());
+//! let trace = TraceHandle::new(TraceSink::new());
 //! trace.emit(
 //!     SimTime::from_secs(2),
 //!     TraceEvent::FidelityChange {
@@ -113,7 +113,7 @@ impl TraceCategory {
 
 /// One typed trace event. All payload strings are `&'static str` (bucket
 /// and workload names are interned), so events are `Copy` and emission
-/// never allocates unless the JSONL writer is on.
+/// never allocates.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent {
     /// The scheduler gave the CPU to a process.
@@ -532,8 +532,8 @@ fn field_str(out: &mut String, key: &str, v: &str) {
 /// A bounded, category-filtered event sink.
 ///
 /// Keeps the most recent records in a ring buffer (oldest evicted first,
-/// with a counter so truncation is never silent) and, when enabled,
-/// renders every accepted record to a JSONL line as it arrives.
+/// with a counter so truncation is never silent). JSONL is rendered from
+/// the ring on demand ([`TraceHandle::jsonl`]).
 #[derive(Debug)]
 pub struct TraceSink {
     capacity: usize,
@@ -541,7 +541,6 @@ pub struct TraceSink {
     evicted: u64,
     next_seq: u64,
     mask: u32,
-    jsonl: Option<Vec<String>>,
     last_at: SimTime,
 }
 
@@ -560,7 +559,6 @@ impl TraceSink {
             evicted: 0,
             next_seq: 0,
             mask: u32::MAX,
-            jsonl: None,
             last_at: SimTime::ZERO,
         }
     }
@@ -582,14 +580,6 @@ impl TraceSink {
         self
     }
 
-    /// Turns on the JSONL writer: every accepted record is also rendered
-    /// to a line (unbounded — callers enable this with a category filter
-    /// sized for the run).
-    pub fn with_jsonl(mut self) -> TraceSink {
-        self.jsonl = Some(Vec::new());
-        self
-    }
-
     /// Whether `cat` passes this sink's filter.
     pub fn enabled(&self, cat: TraceCategory) -> bool {
         self.mask & cat.bit() != 0
@@ -608,9 +598,6 @@ impl TraceSink {
             event,
         };
         self.next_seq += 1;
-        if let Some(lines) = &mut self.jsonl {
-            lines.push(rec.to_jsonl());
-        }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.evicted += 1;
@@ -621,11 +608,6 @@ impl TraceSink {
     /// Records currently held (oldest surviving first).
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.ring.iter()
-    }
-
-    /// Rendered JSONL lines (empty unless [`TraceSink::with_jsonl`]).
-    pub fn jsonl_lines(&self) -> &[String] {
-        self.jsonl.as_deref().unwrap_or(&[])
     }
 
     /// Records evicted from the ring so far.
@@ -649,10 +631,10 @@ impl TraceSink {
     }
 
     /// Encodes the sink's ordering counters (`next_seq`, `evicted`,
-    /// `last_at`) into a snapshot payload. The ring contents and JSONL
-    /// backlog are deliberately excluded: they are O(history), and a
-    /// restored session only needs the counters so its post-thaw stream
-    /// continues the sequence numbering of the run it replaces.
+    /// `last_at`) into a snapshot payload. The ring contents are
+    /// deliberately excluded: they are O(history), and a restored
+    /// session only needs the counters so its post-thaw stream continues
+    /// the sequence numbering of the run it replaces.
     pub fn freeze_counters_into(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_u64(self.next_seq);
         w.put_u64(self.evicted);
@@ -719,29 +701,20 @@ impl TraceHandle {
         self.sink.borrow().records().copied().collect()
     }
 
-    /// Copies out the rendered JSONL lines.
+    /// Renders the records currently in the ring as JSONL lines, oldest
+    /// first. Check [`TraceHandle::evicted`] before treating the lines
+    /// as the whole run.
     pub fn jsonl(&self) -> Vec<String> {
-        self.sink.borrow().jsonl_lines().to_vec()
+        self.sink
+            .borrow()
+            .records()
+            .map(TraceRecord::to_jsonl)
+            .collect()
     }
 
     /// Records evicted from the ring so far.
     pub fn evicted(&self) -> u64 {
         self.sink.borrow().evicted()
-    }
-
-    /// Records currently in the ring.
-    pub fn len(&self) -> usize {
-        self.sink.borrow().len()
-    }
-
-    /// True when the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sink.borrow().is_empty()
-    }
-
-    /// Total records accepted over the sink's lifetime.
-    pub fn emitted(&self) -> u64 {
-        self.sink.borrow().emitted()
     }
 
     /// Encodes the shared sink's ordering counters into a snapshot
@@ -816,13 +789,15 @@ mod tests {
 
     #[test]
     fn jsonl_lines_match_records() {
-        let mut s = TraceSink::new().with_jsonl();
-        s.emit(SimTime::from_micros(1_500_000), delta(0.25));
-        let lines = s.jsonl_lines();
+        let h = TraceHandle::new(TraceSink::new().with_capacity(1));
+        h.emit(SimTime::ZERO, delta(0.5));
+        h.emit(SimTime::from_micros(1_500_000), delta(0.25));
+        // Rendered on demand from the ring: only the surviving record.
+        let lines = h.jsonl();
         assert_eq!(lines.len(), 1);
         assert_eq!(
             lines[0],
-            "{\"time_s\":1.5,\"seq\":0,\"ev\":\"energy_delta\",\"bucket\":\"Idle\",\
+            "{\"time_s\":1.5,\"seq\":1,\"ev\":\"energy_delta\",\"bucket\":\"Idle\",\
              \"energy_j\":0.25}"
         );
     }
@@ -840,7 +815,7 @@ mod tests {
         let h2 = h.clone();
         h.emit(SimTime::ZERO, delta(1.0));
         h2.emit(SimTime::from_secs(1), delta(2.0));
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.records().len(), 2);
         assert_eq!(h.records()[1].seq, 1);
     }
 

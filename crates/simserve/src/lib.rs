@@ -51,6 +51,7 @@ use simcore::{
 };
 
 mod server;
+pub use machine::Directive;
 pub use server::{run_fleet, FleetOutcome, FleetSpec, Server, SessionHealth, SlotStats};
 
 /// Service-layer failure. Every state-changing entry point returns
@@ -210,111 +211,6 @@ impl Sample {
     pub fn from_origin(mut self, pid_index: usize) -> Sample {
         self.origin = Some(pid_index);
         self
-    }
-}
-
-/// One output of [`Session::ingest`]: everything the control plane did
-/// while the clock advanced, in time order.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Directive {
-    /// A workload's fidelity level changed.
-    Fidelity {
-        /// Instant of the change.
-        at: SimTime,
-        /// Process id (machine index).
-        pid: u64,
-        /// `"up"` or `"down"`.
-        direction: &'static str,
-        /// New fidelity level (0 = highest fidelity).
-        level: u64,
-    },
-    /// A datapath clamp factor was applied to a process.
-    Clamp {
-        /// Instant of the clamp.
-        at: SimTime,
-        /// Process id.
-        pid: u64,
-        /// Multiplier in (0, 1].
-        factor: f64,
-    },
-    /// A process was quarantined (suspended).
-    Quarantined {
-        /// Instant of the suspension.
-        at: SimTime,
-        /// Process id.
-        pid: u64,
-    },
-    /// A quarantined process was restarted.
-    Restarted {
-        /// Instant of the restart.
-        at: SimTime,
-        /// Process id.
-        pid: u64,
-    },
-    /// The goal controller found the goal infeasible at lowest fidelity.
-    GoalInfeasible {
-        /// Instant of the verdict.
-        at: SimTime,
-    },
-    /// The finite energy supply ran out.
-    SupplyExhausted {
-        /// Instant of exhaustion.
-        at: SimTime,
-        /// Energy left (≈ 0), J.
-        residual_j: f64,
-    },
-    /// A reconfiguration command was accepted and applied.
-    ReconfigApplied {
-        /// Instant of application.
-        at: SimTime,
-        /// Command kind (`"goal"`, `"budget"`, `"horizon"`,
-        /// `"quarantine"`, `"readmit"`).
-        kind: &'static str,
-        /// Command argument (seconds, joules, or process index).
-        value: f64,
-    },
-    /// A reconfiguration command was rejected by validation.
-    ReconfigRejected {
-        /// Instant of rejection.
-        at: SimTime,
-        /// Command kind.
-        kind: &'static str,
-        /// Validation failure.
-        reason: &'static str,
-    },
-    /// A malformed input sample was dead-lettered.
-    DeadLettered {
-        /// Instant of rejection (the session cursor).
-        at: SimTime,
-        /// Why the sample was rejected.
-        reason: &'static str,
-    },
-    /// The journal recorded a checkpoint proof point.
-    Checkpointed {
-        /// Checkpoint sequence number.
-        seq: u64,
-        /// Instant the digest was taken.
-        at: SimTime,
-        /// Digest of the full live state.
-        digest: u64,
-    },
-}
-
-impl Directive {
-    /// Instant the directive happened — the merge key for time-ordering.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            Directive::Fidelity { at, .. }
-            | Directive::Clamp { at, .. }
-            | Directive::Quarantined { at, .. }
-            | Directive::Restarted { at, .. }
-            | Directive::GoalInfeasible { at }
-            | Directive::SupplyExhausted { at, .. }
-            | Directive::ReconfigApplied { at, .. }
-            | Directive::ReconfigRejected { at, .. }
-            | Directive::DeadLettered { at, .. }
-            | Directive::Checkpointed { at, .. } => at,
-        }
     }
 }
 
@@ -494,10 +390,6 @@ struct Serving {
     supervisor: Option<SupervisorHandle>,
     dead: DeadLetterLedger,
     dead_by_origin: BTreeMap<usize, u64>,
-    /// First trace seq not yet turned into a directive.
-    next_seq: u64,
-    /// First journal index not yet turned into a directive.
-    next_ckpt: usize,
 }
 
 /// A long-lived control-plane session around one deterministic machine.
@@ -544,6 +436,7 @@ impl Session {
     ) -> Result<Session, ServeError> {
         cfg.validate()?;
         machine.set_trace(trace.clone());
+        machine.open_outbox();
         let journal = Rc::new(RefCell::new(RunJournal::new(cfg.checkpoint_every)));
         machine.add_hook(
             cfg.checkpoint_every,
@@ -571,8 +464,6 @@ impl Session {
                 supervisor,
                 dead,
                 dead_by_origin: BTreeMap::new(),
-                next_seq: 0,
-                next_ckpt: 0,
             }),
         })
     }
@@ -592,7 +483,7 @@ impl Session {
     }
 
     /// Feeds a batch of input samples and returns every directive the
-    /// control plane issued while the clock advanced, in time order.
+    /// control plane issued while the clock advanced, in emission order.
     ///
     /// Each valid sample advances the event loop to its timestamp and
     /// then applies its payload. Malformed samples (non-finite or
@@ -610,10 +501,7 @@ impl Session {
         for sample in samples {
             self.ingest_one(sample);
         }
-        Ok(match self.serving.as_mut() {
-            Some(serving) => serving.drain_directives(),
-            None => Vec::new(),
-        })
+        Ok(self.machine.drain_outbox())
     }
 
     /// Runs the session to its configured horizon and returns the final
@@ -695,8 +583,6 @@ impl Session {
                 w.put_usize(*origin);
                 w.put_u64(*count);
             }
-            w.put_u64(s.next_seq);
-            w.put_usize(s.next_ckpt);
         }
         self.machine.freeze(&mut w)?;
         // Trailing self-check: thaw recomputes the digest and refuses a
@@ -763,26 +649,17 @@ impl Session {
                     return Err(SnapshotError::Corrupt("duplicate dead-letter origin"));
                 }
             }
-            let next_seq = r.take_u64()?;
-            let next_ckpt = r.take_usize()?;
             s.cfg.horizon = horizon;
             s.dead.total = total;
             s.dead.dropped = dropped;
             s.dead.entries = entries;
             s.dead_by_origin = dead_by_origin;
-            s.next_seq = next_seq;
-            s.next_ckpt = next_ckpt;
         }
         self.machine.thaw(&mut r)?;
         let want = r.take_u64()?;
         r.finish()?;
         if self.machine.state_digest() != want {
             return Err(SnapshotError::Corrupt("restored state digest mismatch"));
-        }
-        if let Some(s) = &self.serving {
-            if s.next_ckpt > s.journal.borrow().checkpoints().len() {
-                return Err(SnapshotError::Corrupt("checkpoint cursor"));
-            }
         }
         self.cursor = cursor;
         self.stopped = stopped;
@@ -824,9 +701,9 @@ impl Session {
         self.serving.as_ref().map(|s| &s.dead)
     }
 
-    /// JSONL lines of the serving trace so far (empty in batch mode) —
-    /// the byte stream two runs are compared over in the kill/resume
-    /// proof.
+    /// JSONL lines of the serving trace, rendered on demand from the
+    /// records its ring still holds (empty in batch mode) — the byte
+    /// stream two runs are compared over in the kill/resume proof.
     pub fn trace_jsonl(&self) -> Vec<String> {
         match &self.serving {
             Some(s) => s.trace.jsonl(),
@@ -842,24 +719,24 @@ impl Session {
             return;
         };
         if !sample.at_s.is_finite() {
-            serving.dead_letter(self.cursor, sample, "not_finite");
+            serving.dead_letter(&mut self.machine, self.cursor, sample, "not_finite");
             return;
         }
         if sample.at_s < 0.0 {
-            serving.dead_letter(self.cursor, sample, "negative_time");
+            serving.dead_letter(&mut self.machine, self.cursor, sample, "negative_time");
             return;
         }
         let at = SimTime::from_secs_f64(sample.at_s);
         if at < self.cursor {
-            serving.dead_letter(self.cursor, sample, "out_of_order");
+            serving.dead_letter(&mut self.machine, self.cursor, sample, "out_of_order");
             return;
         }
         if at > serving.cfg.horizon {
-            serving.dead_letter(self.cursor, sample, "beyond_horizon");
+            serving.dead_letter(&mut self.machine, self.cursor, sample, "beyond_horizon");
             return;
         }
         if self.stopped {
-            serving.dead_letter(self.cursor, sample, "after_stop");
+            serving.dead_letter(&mut self.machine, self.cursor, sample, "after_stop");
             return;
         }
         let report = self.machine.run_until(at);
@@ -869,20 +746,20 @@ impl Session {
             // all processes done); later samples are dead letters.
             self.stopped = true;
             if let SampleKind::Reconfig(_) = sample.kind {
-                serving.dead_letter(self.cursor, sample, "after_stop");
+                serving.dead_letter(&mut self.machine, self.cursor, sample, "after_stop");
             }
             return;
         }
         if let SampleKind::Reconfig(cmd) = sample.kind {
-            serving.apply_reconfig(at, cmd);
+            serving.apply_reconfig(&mut self.machine, at, cmd);
         }
     }
 }
 
 impl Serving {
     /// Validates and applies one reconfiguration command at instant
-    /// `at`, tracing the verdict either way.
-    fn apply_reconfig(&mut self, at: SimTime, cmd: ReconfigCommand) {
+    /// `at`, emitting the verdict either way.
+    fn apply_reconfig(&mut self, machine: &mut Machine, at: SimTime, cmd: ReconfigCommand) {
         let verdict: Result<(&'static str, f64), (&'static str, &'static str)> = match cmd {
             ReconfigCommand::Goal(goal) => {
                 if goal.is_zero() {
@@ -931,19 +808,18 @@ impl Serving {
             Ok((kind, value)) => TraceEvent::ReconfigApplied { kind, value },
             Err((kind, reason)) => TraceEvent::ReconfigRejected { kind, reason },
         };
-        self.trace.emit(at, event);
+        machine.emit_at(at, event);
     }
 
-    /// Records one dead letter at the session cursor: ledger, trace,
-    /// per-origin escalation.
-    fn dead_letter(&mut self, cursor: SimTime, sample: &Sample, reason: &'static str) {
+    /// Records one dead letter at the session cursor `at`: ledger,
+    /// directive and trace, per-origin escalation.
+    fn dead_letter(&mut self, m: &mut Machine, at: SimTime, sample: &Sample, reason: &'static str) {
         let count = self.dead.push(DeadLetter {
             at_s: sample.at_s,
             reason,
             origin: sample.origin,
         });
-        self.trace
-            .emit(cursor, TraceEvent::DeadLetter { reason, count });
+        m.emit_at(at, TraceEvent::DeadLetter { reason, count });
         if let Some(origin) = sample.origin {
             let per = self.dead_by_origin.entry(origin).or_insert(0);
             *per += 1;
@@ -954,81 +830,6 @@ impl Serving {
                 }
             }
         }
-    }
-
-    /// Turns everything traced or journaled since the last drain into
-    /// time-ordered directives.
-    fn drain_directives(&mut self) -> Vec<Directive> {
-        let mut from_trace: Vec<Directive> = Vec::new();
-        for rec in self.trace.records() {
-            if rec.seq < self.next_seq {
-                continue;
-            }
-            self.next_seq = rec.seq + 1;
-            let at = rec.at;
-            let directive = match rec.event {
-                TraceEvent::FidelityChange {
-                    pid,
-                    direction,
-                    level,
-                    ..
-                } => Directive::Fidelity {
-                    at,
-                    pid,
-                    direction,
-                    level,
-                },
-                TraceEvent::DatapathClamp { pid, factor } => Directive::Clamp { at, pid, factor },
-                TraceEvent::Suspend { pid, .. } => Directive::Quarantined { at, pid },
-                TraceEvent::Restart { pid, .. } => Directive::Restarted { at, pid },
-                TraceEvent::GoalInfeasible => Directive::GoalInfeasible { at },
-                TraceEvent::SupplyExhausted { residual_j } => {
-                    Directive::SupplyExhausted { at, residual_j }
-                }
-                TraceEvent::ReconfigApplied { kind, value } => {
-                    Directive::ReconfigApplied { at, kind, value }
-                }
-                TraceEvent::ReconfigRejected { kind, reason } => {
-                    Directive::ReconfigRejected { at, kind, reason }
-                }
-                TraceEvent::DeadLetter { reason, .. } => Directive::DeadLettered { at, reason },
-                _ => continue,
-            };
-            from_trace.push(directive);
-        }
-        let journal = self.journal.borrow();
-        let from_journal: Vec<Directive> = journal
-            .checkpoints()
-            .get(self.next_ckpt..)
-            .unwrap_or_default()
-            .iter()
-            .map(|ck| Directive::Checkpointed {
-                seq: ck.seq,
-                at: ck.t,
-                digest: ck.digest,
-            })
-            .collect();
-        self.next_ckpt = journal.checkpoints().len();
-        drop(journal);
-        // Stable two-way merge by time; trace events win ties so a
-        // checkpoint at t sorts after the events that produced state t.
-        let mut out = Vec::with_capacity(from_trace.len() + from_journal.len());
-        let mut ti = from_trace.into_iter().peekable();
-        let mut ji = from_journal.into_iter().peekable();
-        loop {
-            let take_trace = match (ti.peek(), ji.peek()) {
-                (Some(t), Some(j)) => t.at() <= j.at(),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_trace {
-                out.extend(ti.next());
-            } else {
-                out.extend(ji.next());
-            }
-        }
-        out
     }
 }
 
@@ -1103,11 +904,7 @@ mod tests {
     }
 
     fn service_trace() -> TraceHandle {
-        TraceHandle::new(
-            TraceSink::new()
-                .with_categories(&TraceCategory::CONTROL_PLANE)
-                .with_jsonl(),
-        )
+        TraceHandle::new(TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE))
     }
 
     fn cfg(horizon_s: u64) -> SessionConfig {

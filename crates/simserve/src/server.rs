@@ -446,11 +446,7 @@ mod tests {
     use simcore::{SimDuration, SimTime, TraceCategory, TraceHandle, TraceSink};
 
     fn service_trace() -> TraceHandle {
-        TraceHandle::new(
-            TraceSink::new()
-                .with_categories(&TraceCategory::CONTROL_PLANE)
-                .with_jsonl(),
-        )
+        TraceHandle::new(TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE))
     }
 
     fn cfg(horizon_s: u64) -> SessionConfig {

@@ -99,11 +99,7 @@ fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> F
     }
     let journal = Rc::new(RefCell::new(RunJournal::new(CKPT_EVERY)));
     m.add_hook(CKPT_EVERY, Box::new(CheckpointHook::new(journal.clone())));
-    let trace = TraceHandle::new(
-        TraceSink::new()
-            .with_categories(&TraceCategory::CONTROL_PLANE)
-            .with_jsonl(),
-    );
+    let trace = TraceHandle::new(TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE));
     m.set_trace(trace.clone());
 
     let report = m.run_until(stop_at.unwrap_or(horizon));

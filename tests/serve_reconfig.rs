@@ -14,9 +14,12 @@
     reason = "test helpers fail the test on a broken fixture"
 )]
 
-use energy_adaptation::experiments::serve::build_session;
-use energy_adaptation::simcore::{SimDuration, SimTime};
-use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session};
+use energy_adaptation::experiments::serve::{build_session, schedule, CKPT_EVERY_S};
+use energy_adaptation::experiments::supervise;
+use energy_adaptation::simcore::{
+    SimDuration, SimRng, SimTime, TraceCategory, TraceHandle, TraceSink,
+};
+use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session, SessionConfig};
 
 const SEED: u64 = 42;
 
@@ -211,4 +214,85 @@ fn dead_letter_flood_escalates_into_supervisor_strike() {
         .filter(|l| l.contains("supervisor_strike") && l.contains("\"detector\":\"service\""))
         .collect();
     assert_eq!(strikes.len(), 1, "expected exactly one escalation strike");
+}
+
+/// The serve rig (supervised k=2 at [`SEED`]) behind an arbitrary trace
+/// sink.
+fn session_with(sink: TraceSink) -> Session {
+    let mut rng = SimRng::new(SEED).fork_indexed("supervise/2", 0);
+    let rig = supervise::build_one(2, true, &mut rng);
+    let cfg = SessionConfig {
+        checkpoint_every: SimDuration::from_secs(CKPT_EVERY_S),
+        ..SessionConfig::standard(rig.horizon)
+    };
+    Session::serve(
+        rig.machine,
+        Some(rig.goal),
+        rig.supervisor,
+        TraceHandle::new(sink),
+        cfg,
+    )
+    .expect("supervised rig")
+}
+
+/// Directives are a channel of their own, not a reading of the trace:
+/// the stream is identical under every category mask (even none) and
+/// at ring capacity 1, and a capacity-1 trace holds at most one line.
+#[test]
+fn directives_do_not_depend_on_the_trace_sink() {
+    // One dead letter, then a quarantine and re-admit of the video app,
+    // each spliced in before the first scheduled tick at or after `t`.
+    let mut samples = schedule(1).expect("golden schedule");
+    for (t, cmd) in [
+        (50.0, None),
+        (100.0, Some(ReconfigCommand::Quarantine(VIDEO))),
+        (150.0, Some(ReconfigCommand::Readmit(VIDEO))),
+    ] {
+        let i = samples
+            .iter()
+            .position(|s| s.at_s >= t)
+            .expect("schedule reaches t");
+        let at = samples[i].at_s;
+        samples.insert(
+            i,
+            match cmd {
+                Some(cmd) => Sample::reconfig(at, cmd),
+                None => Sample::tick(f64::NAN),
+            },
+        );
+    }
+
+    let run = |sink: TraceSink| {
+        let mut s = session_with(sink);
+        let mut out = Vec::new();
+        for chunk in samples.chunks(64) {
+            out.extend(s.ingest(chunk).expect("ingest"));
+        }
+        (out, s.trace_jsonl().len())
+    };
+    use TraceCategory::{Control, Fault, Net, Service, Supervisor};
+    let serve5 = [Net, Fault, Control, Supervisor, Service];
+    let (all, _) = run(TraceSink::new());
+    let v = verdicts(&all);
+    assert_eq!(v, [("quarantine", "applied"), ("readmit", "applied")]);
+    let has = |f: fn(&Directive) -> bool| all.iter().any(f);
+    assert!(has(|d| matches!(d, Directive::DeadLettered { .. })));
+    assert!(has(|d| matches!(d, Directive::Quarantined { .. })));
+    assert!(has(|d| matches!(d, Directive::Restarted { .. })));
+    assert!(has(|d| matches!(d, Directive::Checkpointed { .. })));
+    for (name, sink) in [
+        (
+            "control plane",
+            TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE),
+        ),
+        ("serve rig", TraceSink::new().with_categories(&serve5)),
+        ("no categories", TraceSink::new().with_categories(&[])),
+        ("capacity 1", TraceSink::new().with_capacity(1)),
+    ] {
+        let (out, lines) = run(sink);
+        assert_eq!(out, all, "{name}: directive stream differs");
+        if name == "capacity 1" {
+            assert!(lines <= 1, "capacity-1 trace rendered {lines} lines");
+        }
+    }
 }
