@@ -81,19 +81,33 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Times `f` over `reps` iterations (after one untimed warm-up) and
-/// returns `(median_ms, min_ms)`.
-pub fn time_reps(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
+/// Times `configs` configurations of one scenario, `f(k)` running
+/// configuration `k`, and returns `(median_ms, min_ms)` per
+/// configuration. After one untimed warm-up of each, the `reps` timed
+/// rounds interleave the configurations (`0, 1, …, 0, 1, …`), so host
+/// noise that drifts over the measurement lands on every configuration
+/// alike instead of on whichever block happened to run during it — the
+/// speedup ratios compare like with like.
+pub fn time_interleaved(reps: usize, configs: usize, mut f: impl FnMut(usize)) -> Vec<(f64, f64)> {
     assert!(reps > 0, "bench needs at least one repetition");
-    f(); // warm-up: fault in code and allocator state
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let sw = Stopwatch::start();
-        f();
-        samples.push(sw.elapsed_s() * 1e3);
+    for k in 0..configs {
+        f(k); // warm-up: fault in code and allocator state
     }
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    (median(&samples), min)
+    let mut samples = vec![Vec::with_capacity(reps); configs];
+    for _ in 0..reps {
+        for (k, times) in samples.iter_mut().enumerate() {
+            let sw = Stopwatch::start();
+            f(k);
+            times.push(sw.elapsed_s() * 1e3);
+        }
+    }
+    samples
+        .iter()
+        .map(|times| {
+            let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+            (median(times), min)
+        })
+        .collect()
 }
 
 /// Renders records as the `bench_sweep/v2` JSON document.
@@ -188,18 +202,29 @@ fn num_field(line: &str, key: &str) -> Result<f64, String> {
 }
 
 /// Compares a fresh sweep against a committed baseline and returns one
-/// line per regression: a `threads > 1` row whose speedup fell more
-/// than `tolerance` below the baseline's, a baseline scenario that
-/// silently dropped out of the sweep at a thread count the sweep did
-/// measure, or a baseline scenario with *no* rows at all in the fresh
-/// sweep (a whole scenario vanishing must fail even when no thread
-/// counts overlap — otherwise deleting a scenario passes `--check`).
-/// Baseline thread counts the fresh sweep never ran are not
-/// regressions — CI sweeps a subset of the committed grid. Speedups are
-/// ratios of medians taken on the same machine in the same run, so the
-/// check is machine-portable — absolute wall times never participate.
-/// Serial rows are skipped (their speedup is 1.0 by construction), and
-/// speedups *above* baseline are never flagged.
+/// line per regression:
+///
+/// - a baseline scenario with *no* rows at all in the fresh sweep (a
+///   whole scenario vanishing must fail even when no thread counts
+///   overlap — otherwise deleting a scenario passes `--check`);
+/// - a baseline row that dropped out at a thread count the sweep did
+///   measure;
+/// - on a row where the baseline dispatched work to spawned workers,
+///   a `threads > 1` speedup more than `tolerance` below the
+///   baseline's;
+/// - on a row where the baseline made no pool dispatches at all, any
+///   dispatch in the fresh sweep. Such a scenario is serial by
+///   construction, so its "speedup" is timing noise and is never
+///   compared; the exact dispatch count is, and it catches a serial
+///   scenario that starts dispatching.
+///
+/// Rows whose baseline dispatches all ran inline (a 1-core baseline
+/// host) carry no scaling evidence and are not compared. Baseline
+/// thread counts the fresh sweep never ran are not regressions — CI
+/// sweeps a subset of the committed grid. Speedups are ratios of
+/// medians taken on the same machine in the same run, so the check is
+/// machine-portable — absolute wall times never participate. Speedups
+/// *above* baseline are never flagged.
 pub fn speedup_regressions(
     current: &[BenchRecord],
     baseline: &[BenchRecord],
@@ -220,8 +245,7 @@ pub fn speedup_regressions(
         out.push(format!("{s}: scenario absent from current sweep"));
     }
     for b in baseline {
-        if b.threads <= 1
-            || !current.iter().any(|c| c.threads == b.threads)
+        if !current.iter().any(|c| c.threads == b.threads)
             || missing_scenarios.iter().any(|s| *s == b.scenario)
         {
             continue;
@@ -236,7 +260,17 @@ pub fn speedup_regressions(
             ));
             continue;
         };
-        if c.speedup_vs_serial < b.speedup_vs_serial - tolerance {
+        if b.pool_dispatches == 0 {
+            if c.pool_dispatches != 0 {
+                out.push(format!(
+                    "{}@{}: {} pool dispatches where the baseline made none",
+                    b.scenario, b.threads, c.pool_dispatches
+                ));
+            }
+        } else if b.threads > 1
+            && b.pool_workers > 0
+            && c.speedup_vs_serial < b.speedup_vs_serial - tolerance
+        {
             out.push(format!(
                 "{}@{}: speedup {:.3} fell more than {:.2} below baseline {:.3}",
                 b.scenario, b.threads, c.speedup_vs_serial, tolerance, b.speedup_vs_serial
@@ -283,11 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn time_reps_runs_warmup_plus_reps() {
-        let mut n = 0usize;
-        let (med, min) = time_reps(3, || n += 1);
-        assert_eq!(n, 4);
-        assert!(min >= 0.0 && med >= min);
+    fn time_interleaved_runs_warmup_plus_reps_per_config() {
+        let mut order = Vec::new();
+        let timings = time_interleaved(3, 2, |k| order.push(k));
+        // One warm-up each, then three interleaved rounds.
+        assert_eq!(order, vec![0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!(timings.len(), 2);
+        for (med, min) in timings {
+            assert!(min >= 0.0 && med >= min);
+        }
     }
 
     #[test]
@@ -401,7 +439,10 @@ mod tests {
         assert!(parse_sweep_json(bad).is_err());
     }
 
+    /// A row whose scenario dispatched one job set, spawning workers
+    /// when `threads > 1`.
     fn row(scenario: &str, threads: usize, speedup: f64) -> BenchRecord {
+        let spawned = threads > 1;
         BenchRecord {
             scenario: scenario.into(),
             threads,
@@ -409,8 +450,72 @@ mod tests {
             median_wall_ms: 10.0,
             min_wall_ms: 9.0,
             speedup_vs_serial: speedup,
+            pool_dispatches: 1,
+            pool_inline_runs: u64::from(!spawned),
+            pool_chunks: if spawned { 4 } else { 0 },
+            pool_workers: if spawned { threads as u64 } else { 0 },
             ..BenchRecord::default()
         }
+    }
+
+    /// A row of an inherently serial scenario: no pool dispatches.
+    fn serial_row(scenario: &str, threads: usize, speedup: f64) -> BenchRecord {
+        BenchRecord {
+            pool_dispatches: 0,
+            pool_inline_runs: 0,
+            pool_chunks: 0,
+            pool_workers: 0,
+            ..row(scenario, threads, speedup)
+        }
+    }
+
+    /// The failure that made the old gate fail on an unmodified tree:
+    /// fig2 makes no pool dispatches, so its 1.129 → 0.672 "speedup"
+    /// drop at 2 threads is noise and must not be flagged.
+    #[test]
+    fn zero_dispatch_speedup_noise_is_not_flagged() {
+        let baseline = vec![serial_row("fig2", 1, 1.0), serial_row("fig2", 2, 1.129)];
+        let current = vec![serial_row("fig2", 1, 1.0), serial_row("fig2", 2, 0.672)];
+        let r = speedup_regressions(&current, &baseline, 0.30);
+        assert!(r.is_empty(), "{r:?}");
+    }
+
+    /// Negative control: a dispatching scenario that really lost its
+    /// scaling (fig16 at 2 threads, 1.8x → 1.2x) is still flagged.
+    #[test]
+    fn dispatching_speedup_drop_is_flagged() {
+        let baseline = vec![row("fig16", 1, 1.0), row("fig16", 2, 1.8)];
+        let current = vec![row("fig16", 1, 1.0), row("fig16", 2, 1.2)];
+        let r = speedup_regressions(&current, &baseline, 0.30);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("fig16@2"), "{}", r[0]);
+        assert!(r[0].contains("1.200") && r[0].contains("1.800"), "{}", r[0]);
+    }
+
+    /// A scenario the baseline ran without the pool that starts
+    /// dispatching is flagged on the exact count, whatever its speedup.
+    #[test]
+    fn zero_dispatch_row_that_starts_dispatching_is_flagged() {
+        let baseline = vec![serial_row("goal", 1, 1.0), serial_row("goal", 2, 1.0)];
+        let current = vec![serial_row("goal", 1, 1.0), row("goal", 2, 1.5)];
+        let r = speedup_regressions(&current, &baseline, 0.30);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].starts_with("goal@2:"), "{}", r[0]);
+        assert!(r[0].contains("1 pool dispatches"), "{}", r[0]);
+    }
+
+    /// A baseline row whose dispatches all ran inline (a 1-core host)
+    /// carries no scaling evidence, so its speedup is not compared.
+    #[test]
+    fn inline_only_baseline_rows_are_not_compared() {
+        let inline = BenchRecord {
+            pool_inline_runs: 1,
+            pool_chunks: 0,
+            pool_workers: 0,
+            ..row("supervise", 2, 1.5)
+        };
+        let current = vec![row("supervise", 2, 0.9)];
+        assert!(speedup_regressions(&current, &[inline], 0.30).is_empty());
     }
 
     #[test]

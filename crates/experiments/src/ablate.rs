@@ -21,7 +21,7 @@ use simcore::{SimDuration, SimRng};
 
 use crate::fig19::INITIAL_ENERGY_J;
 use crate::goalrig::{run_composite_goal_custom, GoalRun};
-use crate::harness::Trials;
+use crate::harness::{fan, Trials};
 use crate::table::Table;
 
 /// Goal used by the controller ablations, seconds.
@@ -98,41 +98,38 @@ fn summarize(variant: &'static str, run: &GoalRun) -> AblationRow {
     }
 }
 
-/// Runs the ablation study.
+/// A variant's change to the paper's controller configuration.
+type Tweak = fn(&mut GoalConfig);
+
+/// The controller variants, in row order: row name, stream label,
+/// whether priorities are reversed, and the variant's tweak.
+const VARIANTS: [(&str, &str, bool, Tweak); 4] = [
+    ("Paper controller", "ablate/paper", false, |_| {}),
+    ("No hysteresis", "ablate/no-hysteresis", false, |cfg| {
+        cfg.hysteresis_supply_frac = 0.0;
+        cfg.hysteresis_initial_frac = 0.0;
+    }),
+    ("No upgrade rate cap", "ablate/no-cap", false, |cfg| {
+        cfg.upgrade_min_interval = SimDuration::from_millis(500);
+    }),
+    ("Reversed priorities", "ablate/reversed", true, |_| {}),
+];
+
+/// Runs the ablation study, each controller variant one fan-out job.
 pub fn run(trials: &Trials) -> Ablation {
     let root = SimRng::new(trials.seed);
     let goal = SimDuration::from_secs(GOAL_S);
-    let base_cfg = || GoalConfig::paper(INITIAL_ENERGY_J, goal);
-    let mut rows = Vec::new();
-
-    let mut rng = root.fork("ablate/paper");
-    rows.push(summarize(
-        "Paper controller",
-        &run_composite_goal_custom(base_cfg(), false, &mut rng),
-    ));
-
-    let mut cfg = base_cfg();
-    cfg.hysteresis_supply_frac = 0.0;
-    cfg.hysteresis_initial_frac = 0.0;
-    let mut rng = root.fork("ablate/no-hysteresis");
-    rows.push(summarize(
-        "No hysteresis",
-        &run_composite_goal_custom(cfg, false, &mut rng),
-    ));
-
-    let mut cfg = base_cfg();
-    cfg.upgrade_min_interval = SimDuration::from_millis(500);
-    let mut rng = root.fork("ablate/no-cap");
-    rows.push(summarize(
-        "No upgrade rate cap",
-        &run_composite_goal_custom(cfg, false, &mut rng),
-    ));
-
-    let mut rng = root.fork("ablate/reversed");
-    rows.push(summarize(
-        "Reversed priorities",
-        &run_composite_goal_custom(base_cfg(), true, &mut rng),
-    ));
+    let runs = fan(
+        &Trials { n: 1, ..*trials },
+        &VARIANTS,
+        |&(name, label, reversed, tweak), _| {
+            let mut cfg = GoalConfig::paper(INITIAL_ENERGY_J, goal);
+            tweak(&mut cfg);
+            let mut rng = root.fork(label);
+            summarize(name, &run_composite_goal_custom(cfg, reversed, &mut rng))
+        },
+    );
+    let rows = runs.into_iter().flatten().collect();
 
     // Power-model ablation: the superlinearity term.
     let with =

@@ -16,7 +16,7 @@
 //! determinism gate CI runs on multi-core machines, where a merge-order
 //! bug would actually have room to express itself.
 
-use bench::sweep::{time_reps, BenchRecord};
+use bench::sweep::{time_interleaved, BenchRecord};
 use simcore::SnapshotHasher;
 
 use crate::harness::Trials;
@@ -79,9 +79,10 @@ pub struct SweepOutcome {
 }
 
 /// Times every scenario at every thread count (`reps` timed repetitions
-/// each, after a warm-up) and cross-checks parallel digests against
-/// serial. Thread count 1 is always measured first as the speedup
-/// baseline, even if absent from `thread_counts`.
+/// each, after a warm-up, interleaved across the thread counts) and
+/// cross-checks parallel digests against serial. Thread count 1 is
+/// always measured as the speedup baseline, even if absent from
+/// `thread_counts`.
 // simlint: allow(P1) — the bench sweep times real execution by design;
 // wall-clock reach stops here, no simulation result depends on it
 pub fn run_sweep(trials: &Trials, thread_counts: &[usize], reps: usize) -> SweepOutcome {
@@ -105,28 +106,30 @@ pub fn run_sweep(trials: &Trials, thread_counts: &[usize], reps: usize) -> Sweep
                 .unwrap_or_else(|e| panic!("bench serve scenario: {e}"));
             run.directives as u64
         });
-        let serial_digest = digest(scenario, &trials.with_threads(1));
-        let mut serial_median_ms = 0.0f64;
-        for &threads in &counts {
-            let t = trials.with_threads(threads);
-            // The divergence-check run doubles as the telemetry probe:
-            // bracketing exactly one digest() with reset/snapshot
-            // yields the pool's dispatch metadata for this
-            // (scenario, threads) cell, untouched by the timing reps.
-            simcore::par::telemetry::reset();
-            if digest(scenario, &t) != serial_digest {
-                divergent.push(format!("{scenario}@{threads}"));
-            }
-            let pool = simcore::par::telemetry::snapshot();
-            let (median_ms, min_ms) = time_reps(reps, || {
-                std::hint::black_box(digest(scenario, std::hint::black_box(&t)));
-            });
-            if threads == 1 {
-                serial_median_ms = median_ms;
-            }
+        let configs: Vec<Trials> = counts.iter().map(|&t| trials.with_threads(t)).collect();
+        let serial_digest = digest(scenario, &configs[0]);
+        // The divergence-check run doubles as the telemetry probe:
+        // bracketing exactly one digest() with reset/snapshot yields
+        // the pool's dispatch metadata for this (scenario, threads)
+        // cell, untouched by the timing reps.
+        let pools: Vec<simcore::par::telemetry::Totals> = configs
+            .iter()
+            .map(|t| {
+                simcore::par::telemetry::reset();
+                if digest(scenario, t) != serial_digest {
+                    divergent.push(format!("{scenario}@{}", t.threads));
+                }
+                simcore::par::telemetry::snapshot()
+            })
+            .collect();
+        let timings = time_interleaved(reps, configs.len(), |k| {
+            std::hint::black_box(digest(scenario, std::hint::black_box(&configs[k])));
+        });
+        let serial_median_ms = timings[0].0;
+        for ((t, pool), (median_ms, min_ms)) in configs.iter().zip(&pools).zip(timings) {
             records.push(BenchRecord {
                 scenario: scenario.to_string(),
-                threads,
+                threads: t.threads,
                 reps,
                 median_wall_ms: median_ms,
                 min_wall_ms: min_ms,

@@ -20,8 +20,8 @@ use odyssey::{GoalConfig, Hardening};
 use powerscope::MeterFaultPlan;
 use simcore::{SimDuration, SimRng, TrialStats};
 
-use crate::goalrig::{composite_horizon, run_composite_goal_faulted};
-use crate::harness::Trials;
+use crate::goalrig::{composite_horizon, met_fraction, run_composite_goal_faulted, GoalTally};
+use crate::harness::{fan, trial_stats, Trials};
 use crate::table::Table;
 
 /// The swept fault intensities.
@@ -101,14 +101,9 @@ pub fn run(trials: &Trials) -> Chaos {
     run_sweep(trials, &INTENSITIES, GOAL_S, CHAOS_ENERGY_J)
 }
 
-/// Runs an arbitrary intensity sweep.
-///
-/// The fan-out unit is one *(cell, trial)* run — every trial stream is
-/// keyed purely by `(seed, intensity, trial)`, so all `cells × trials.n`
-/// runs are independent jobs. Flattening to trial granularity keeps
-/// every worker busy even on narrow sweeps, and the index-ordered merge
-/// reduces each cell from its trials in trial order — byte-identical to
-/// the serial run at any thread count.
+/// Runs an arbitrary intensity sweep, every (cell, trial) run as one
+/// fan-out job. Trial streams are keyed purely by
+/// `(seed, intensity, trial)`.
 pub fn run_sweep(
     trials: &Trials,
     intensities: &[f64],
@@ -119,26 +114,19 @@ pub fn run_sweep(
         .iter()
         .flat_map(|&intensity| [(intensity, false), (intensity, true)])
         .collect();
-    let n = trials.n.max(1);
-    let mut jobs: Vec<(f64, bool, usize)> = Vec::with_capacity(specs.len() * n);
-    for &(intensity, hardened) in &specs {
-        for i in 0..n {
-            jobs.push((intensity, hardened, i));
-        }
-    }
     let root = SimRng::new(trials.seed);
     let goal = SimDuration::from_secs(goal_s);
-    let runs = simcore::par::map(trials.threads, &jobs, |_, &(intensity, hardened, i)| {
-        // Workload and fault streams are keyed by intensity and
-        // trial only, so the naive and hardened controllers face
-        // the identical substrate — a paired comparison.
+    let runs = fan(trials, &specs, |&(intensity, hardened), i| {
+        // Workload and fault streams are keyed by intensity and trial
+        // only, so the naive and hardened controllers face the
+        // identical substrate — a paired comparison.
         let label = format!("chaos/{intensity:.2}");
         let mut rng = root.fork_indexed(&label, i as u64);
         let fault_seed = root.fork_indexed(&label, i as u64).fork("faults").seed();
         let mut faults = FaultConfig::hostile(fault_seed, intensity, composite_horizon(goal));
-        // The composite workload multiplexes several transfers
-        // over the shared link; a timeout sized for a lone RPC
-        // would fire on legitimately slow concurrent ones.
+        // The composite workload multiplexes several transfers over the
+        // shared link; a timeout sized for a lone RPC would fire on
+        // legitimately slow concurrent ones.
         faults.rpc = Some(RpcPolicy {
             timeout: SimDuration::from_secs(12),
             ..RpcPolicy::standard()
@@ -148,13 +136,13 @@ pub fn run_sweep(
         if hardened {
             cfg = cfg.with_hardening(Hardening::standard());
         }
-        run_composite_goal_faulted(cfg, faults, &mut rng)
+        run_composite_goal_faulted(cfg, faults, &mut rng).tally()
     });
     let cells = specs
         .iter()
-        .zip(runs.chunks(n))
-        .map(|(&(intensity, hardened), cell_runs)| {
-            reduce_cell(trials, intensity, hardened, goal_s, cell_runs)
+        .zip(&runs)
+        .map(|(&(intensity, hardened), runs)| {
+            reduce_cell(trials, intensity, hardened, goal_s, runs)
         })
         .collect();
     Chaos {
@@ -171,53 +159,32 @@ fn reduce_cell(
     intensity: f64,
     hardened: bool,
     goal_s: u64,
-    runs: &[crate::goalrig::GoalRun],
+    runs: &[GoalTally],
 ) -> ChaosCell {
-    let mut met = 0usize;
-    let mut hit95 = 0usize;
-    let mut infeasible = Vec::new();
-    let mut shortfall = Vec::new();
-    let mut residual = Vec::new();
-    let mut energy = Vec::new();
-    let mut adaptations = Vec::new();
-    let mut timeouts = Vec::new();
-    let mut retries = Vec::new();
-    let mut stale = Vec::new();
-    for run in runs {
-        let dur = run.report.duration_s();
-        if run.outcome.goal_met {
-            met += 1;
-        }
-        if run.outcome.goal_met || dur >= 0.95 * goal_s as f64 {
-            hit95 += 1;
-        }
-        infeasible.push(run.outcome.infeasible_signals as f64);
-        let short = if run.outcome.goal_met {
-            0.0
-        } else {
-            (goal_s as f64 - dur.min(goal_s as f64)) / goal_s as f64 * 100.0
-        };
-        shortfall.push(short);
-        residual.push(run.report.residual_j);
-        energy.push(run.report.total_j);
-        adaptations.push((run.outcome.degrades + run.outcome.upgrades) as f64);
-        timeouts.push(run.report.rpc_timeouts as f64);
-        retries.push(run.report.rpc_retries as f64);
-        stale.push(run.outcome.stale_decisions as f64);
-    }
+    let goal = goal_s as f64;
     ChaosCell {
         intensity,
         hardened,
-        met_fraction: met as f64 / trials.n as f64,
-        hit95_fraction: hit95 as f64 / trials.n as f64,
-        shortfall_pct: TrialStats::from_values(&shortfall),
-        residual: TrialStats::from_values(&residual),
-        energy: TrialStats::from_values(&energy),
-        adaptations: TrialStats::from_values(&adaptations),
-        rpc_timeouts: TrialStats::from_values(&timeouts),
-        rpc_retries: TrialStats::from_values(&retries),
-        stale_decisions: TrialStats::from_values(&stale),
-        infeasible_signals: TrialStats::from_values(&infeasible),
+        met_fraction: met_fraction(runs, trials),
+        hit95_fraction: runs
+            .iter()
+            .filter(|r| r.outcome.goal_met || r.duration_s >= 0.95 * goal)
+            .count() as f64
+            / trials.n as f64,
+        shortfall_pct: trial_stats(runs, |r| {
+            if r.outcome.goal_met {
+                0.0
+            } else {
+                (goal - r.duration_s.min(goal)) / goal * 100.0
+            }
+        }),
+        residual: trial_stats(runs, |r| r.residual_j),
+        energy: trial_stats(runs, |r| r.total_j),
+        adaptations: trial_stats(runs, |r| (r.outcome.degrades + r.outcome.upgrades) as f64),
+        rpc_timeouts: trial_stats(runs, |r| r.rpc_timeouts as f64),
+        rpc_retries: trial_stats(runs, |r| r.rpc_retries as f64),
+        stale_decisions: trial_stats(runs, |r| r.outcome.stale_decisions as f64),
+        infeasible_signals: trial_stats(runs, |r| r.outcome.infeasible_signals as f64),
     }
 }
 

@@ -203,6 +203,23 @@ enum RowKind {
     Web(f64),
 }
 
+/// Relative cost hint of one Video cell against any other cell (cost 1)
+/// for the pool's cost-aware chunk plan. A timing probe of every cell
+/// put Video at 8-39 ms and every speech, map and web cell at ≤ 0.5 ms,
+/// ~99% of the summary's time in its first 16 cells. Chunks sized by
+/// count handed all 16 to one worker; sized by this hint they spread
+/// across the pool. The hint moves chunk boundaries only, never output.
+const VIDEO_COST_HINT: u64 = 60;
+
+impl RowKind {
+    fn cost_hint(self) -> u64 {
+        match self {
+            RowKind::Video => VIDEO_COST_HINT,
+            RowKind::Speech | RowKind::Map(_) | RowKind::Web(_) => 1,
+        }
+    }
+}
+
 /// Mean trial energy of one `(row, object, condition)` cell, J.
 ///
 /// The trial label is a pure function of the cell, so the cell is a
@@ -247,8 +264,9 @@ pub fn run(trials: &Trials) -> Fig16 {
 /// trial set — so the summary parallelizes as a single wide dispatch of
 /// coarse jobs instead of dozens of tiny per-trial dispatches (the
 /// shape that used to *lose* wall-clock to spawn overhead; see
-/// DESIGN.md §18). Cells run their trials serially; parallelism lives
-/// at this level only. Each object's baseline-condition cell is also
+/// DESIGN.md §18), chunked by [`VIDEO_COST_HINT`] rather than by count.
+/// Cells run their trials serially; parallelism lives at this level
+/// only. Each object's baseline-condition cell is also
 /// computed exactly once and reused as the normalizer, where the old
 /// per-row closure recomputed it — same pure value, same output bytes,
 /// less work.
@@ -274,9 +292,15 @@ pub fn run_with_thinks(trials: &Trials, thinks: &[f64]) -> Fig16 {
         }
     }
     let inner = trials.with_threads(1);
-    let energies = simcore::par::map(trials.threads, &cells, |_, &(kind, o, c)| {
-        cell_energy_j(&inner, kind, o, c)
-    });
+    // Grain 1: cells are coarse, and a count floor would regroup the
+    // Video cells the cost hint splits apart.
+    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
+    let (energies, _) = simcore::par::map_costed_stats(
+        &cfg,
+        &cells,
+        |&(kind, _, _)| kind.cost_hint(),
+        |_, &(kind, o, c)| cell_energy_j(&inner, kind, o, c),
+    );
     // Cell value lookup: cells are row-major, object-major, condition-
     // minor, so the flat index is a pure function of the coordinates.
     let value = |row: usize, o: usize, ci: usize| energies[(row * 4 + o) * conditions.len() + ci];

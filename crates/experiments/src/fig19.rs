@@ -17,7 +17,7 @@ use odyssey::GoalConfig;
 use simcore::{SimDuration, SimRng, SimTime, TimeSeries};
 
 use crate::goalrig::{run_composite_goal, GoalRun};
-use crate::harness::Trials;
+use crate::harness::{fan, Trials};
 use crate::table::Table;
 
 /// Initial energy value handed to Odyssey, J.
@@ -62,21 +62,22 @@ pub fn run(trials: &Trials) -> Fig19 {
     run_goals(trials, &GOALS_S)
 }
 
-/// Runs an arbitrary set of goals (tests use shorter ones).
+/// Runs an arbitrary set of goals (tests use shorter ones), one run per
+/// goal, each goal one fan-out job. The figure plots each run's series,
+/// so the jobs return whole runs.
 pub fn run_goals(trials: &Trials, goals: &[u64]) -> Fig19 {
     let root = SimRng::new(trials.seed);
-    let traces = goals
-        .iter()
-        .map(|&goal_s| {
-            let mut rng = root.fork(&format!("fig19/{goal_s}"));
-            let cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(goal_s));
-            GoalTrace {
-                goal_s,
-                run: run_composite_goal(cfg, &mut rng),
-            }
-        })
-        .collect();
-    Fig19 { traces }
+    let traces = fan(&Trials { n: 1, ..*trials }, goals, |&goal_s, _| {
+        let mut rng = root.fork(&format!("fig19/{goal_s}"));
+        let cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(goal_s));
+        GoalTrace {
+            goal_s,
+            run: run_composite_goal(cfg, &mut rng),
+        }
+    });
+    Fig19 {
+        traces: traces.into_iter().flatten().collect(),
+    }
 }
 
 fn series_row(name: &str, s: &TimeSeries, end: SimTime, cols: usize) -> Vec<String> {

@@ -10,8 +10,8 @@ use odyssey::GoalConfig;
 use simcore::{SimDuration, SimRng, TrialStats};
 
 use crate::fig19::INITIAL_ENERGY_J;
-use crate::goalrig::run_composite_goal;
-use crate::harness::Trials;
+use crate::goalrig::{met_fraction, run_composite_goal};
+use crate::harness::{fan, trial_stats, Trials};
 use crate::table::Table;
 
 /// The paper's goal set: 1200-1560 s in 120 s steps.
@@ -47,33 +47,25 @@ pub fn run(trials: &Trials) -> Fig20 {
     run_goals(trials, &GOALS_S, INITIAL_ENERGY_J)
 }
 
-/// Runs an arbitrary goal set.
+/// Runs an arbitrary goal set, every (goal, trial) run as one fan-out
+/// job.
 pub fn run_goals(trials: &Trials, goals: &[u64], initial_energy_j: f64) -> Fig20 {
     let root = SimRng::new(trials.seed);
+    let runs = fan(trials, goals, |&goal_s, i| {
+        let mut rng = root.fork_indexed(&format!("fig20/{goal_s}"), i as u64);
+        let cfg = GoalConfig::paper(initial_energy_j, SimDuration::from_secs(goal_s));
+        run_composite_goal(cfg, &mut rng).tally()
+    });
     let rows = goals
         .iter()
-        .map(|&goal_s| {
-            let mut met = 0usize;
-            let mut residuals = Vec::new();
-            let mut adapt: Vec<Vec<f64>> = vec![Vec::new(); APPS.len()];
-            for i in 0..trials.n {
-                let mut rng = root.fork_indexed(&format!("fig20/{goal_s}"), i as u64);
-                let cfg = GoalConfig::paper(initial_energy_j, SimDuration::from_secs(goal_s));
-                let run = run_composite_goal(cfg, &mut rng);
-                if run.outcome.goal_met {
-                    met += 1;
-                }
-                residuals.push(run.report.residual_j);
-                for (k, app) in APPS.iter().enumerate() {
-                    adapt[k].push(run.adaptations_of(app) as f64);
-                }
-            }
-            GoalRow {
-                goal_s,
-                met_fraction: met as f64 / trials.n as f64,
-                residual: TrialStats::from_values(&residuals),
-                adaptations: adapt.iter().map(|v| TrialStats::from_values(v)).collect(),
-            }
+        .zip(&runs)
+        .map(|(&goal_s, runs)| GoalRow {
+            goal_s,
+            met_fraction: met_fraction(runs, trials),
+            residual: trial_stats(runs, |r| r.residual_j),
+            adaptations: (0..APPS.len())
+                .map(|k| trial_stats(runs, |r| r.adaptations[k] as f64))
+                .collect(),
         })
         .collect();
     Fig20 {

@@ -11,8 +11,8 @@ use simcore::{SimDuration, SimRng, TrialStats};
 
 use crate::fig19::INITIAL_ENERGY_J;
 use crate::fig20::APPS;
-use crate::goalrig::run_composite_goal;
-use crate::harness::Trials;
+use crate::goalrig::{met_fraction, run_composite_goal};
+use crate::harness::{fan, trial_stats, Trials};
 use crate::table::Table;
 
 /// Half-life fractions swept (1%, 5%, 10%, 15% of time remaining).
@@ -63,40 +63,27 @@ pub fn run(trials: &Trials) -> Fig21 {
     run_half_lives(trials, &HALF_LIVES)
 }
 
-/// Runs the sweep at chosen half-life values.
+/// Runs the sweep at chosen half-life values, every (half-life, trial)
+/// run as one fan-out job.
 pub fn run_half_lives(trials: &Trials, half_lives: &[f64]) -> Fig21 {
     let root = SimRng::new(trials.seed);
+    let runs = fan(trials, half_lives, |&half_life, i| {
+        let mut rng = root.fork_indexed(&format!("fig21/{half_life}"), i as u64);
+        let mut cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(GOAL_S));
+        cfg.half_life_frac = half_life;
+        run_composite_goal(cfg, &mut rng).tally()
+    });
     let rows = half_lives
         .iter()
-        .map(|&half_life| {
-            let mut met = 0usize;
-            let mut residuals = Vec::new();
-            let mut totals = Vec::new();
-            let mut adapt: Vec<Vec<f64>> = vec![Vec::new(); APPS.len()];
-            for i in 0..trials.n {
-                let mut rng = root.fork_indexed(&format!("fig21/{half_life}"), i as u64);
-                let mut cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(GOAL_S));
-                cfg.half_life_frac = half_life;
-                let run = run_composite_goal(cfg, &mut rng);
-                if run.outcome.goal_met {
-                    met += 1;
-                }
-                residuals.push(run.report.residual_j);
-                let mut total = 0usize;
-                for (k, app) in APPS.iter().enumerate() {
-                    let n = run.adaptations_of(app);
-                    adapt[k].push(n as f64);
-                    total += n;
-                }
-                totals.push(total as f64);
-            }
-            HalfLifeRow {
-                half_life,
-                met_fraction: met as f64 / trials.n as f64,
-                residual: TrialStats::from_values(&residuals),
-                total_adaptations: TrialStats::from_values(&totals),
-                adaptations: adapt.iter().map(|v| TrialStats::from_values(v)).collect(),
-            }
+        .zip(&runs)
+        .map(|(&half_life, runs)| HalfLifeRow {
+            half_life,
+            met_fraction: met_fraction(runs, trials),
+            residual: trial_stats(runs, |r| r.residual_j),
+            total_adaptations: trial_stats(runs, |r| r.adaptations.iter().sum::<usize>() as f64),
+            adaptations: (0..APPS.len())
+                .map(|k| trial_stats(runs, |r| r.adaptations[k] as f64))
+                .collect(),
         })
         .collect();
     Fig21 { rows }

@@ -12,7 +12,7 @@ use simcore::{SimDuration, SimRng};
 
 use crate::fig20::APPS;
 use crate::goalrig::{run_bursty_goal, GoalRun};
-use crate::harness::Trials;
+use crate::harness::{fan, Trials};
 use crate::table::Table;
 
 /// Energy supply, J. The paper used 13,000 J; our calibrated platform
@@ -58,23 +58,24 @@ pub fn run(trials: &Trials) -> Fig22 {
     run_config(trials, GOAL_S, INITIAL_ENERGY_J)
 }
 
-/// Runs a custom configuration (tests use shorter goals).
+/// Runs a custom configuration (tests use shorter goals), every trial
+/// as one fan-out job.
 pub fn run_config(trials: &Trials, goal_s: u64, initial_j: f64) -> Fig22 {
     let root = SimRng::new(trials.seed);
-    let rows = (0..trials.n)
-        .map(|i| {
-            let mut rng = root.fork_indexed("fig22", i as u64);
-            let cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s));
-            let run: GoalRun = run_bursty_goal(cfg, &mut rng);
-            BurstyTrial {
-                trial: i + 1,
-                goal_met: run.outcome.goal_met,
-                residual_j: run.report.residual_j,
-                adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
-            }
-        })
-        .collect();
-    Fig22 { trials: rows }
+    let rows = fan(trials, &[()], |_, i| {
+        let mut rng = root.fork_indexed("fig22", i as u64);
+        let cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s));
+        let run: GoalRun = run_bursty_goal(cfg, &mut rng);
+        BurstyTrial {
+            trial: i + 1,
+            goal_met: run.outcome.goal_met,
+            residual_j: run.report.residual_j,
+            adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
+        }
+    });
+    Fig22 {
+        trials: rows.into_iter().flatten().collect(),
+    }
 }
 
 /// Renders the per-trial table.

@@ -19,6 +19,9 @@ use odyssey_apps::datasets::VIDEO_CLIPS;
 use odyssey_apps::VideoPlayer;
 use simcore::{SimDuration, SimRng, SimTime, TimeSeries};
 
+use crate::fig20::APPS;
+use crate::harness::Trials;
+
 /// Everything an experiment needs from one goal-directed run.
 #[derive(Clone, Debug)]
 pub struct GoalRun {
@@ -37,6 +40,45 @@ impl GoalRun {
     pub fn adaptations_of(&self, name: &str) -> usize {
         self.report.adaptations_of(name)
     }
+
+    /// The scalars the Section 5 tables read from this run.
+    pub fn tally(&self) -> GoalTally {
+        GoalTally {
+            outcome: self.outcome.clone(),
+            duration_s: self.report.duration_s(),
+            residual_j: self.report.residual_j,
+            total_j: self.report.total_j,
+            rpc_timeouts: self.report.rpc_timeouts,
+            rpc_retries: self.report.rpc_retries,
+            adaptations: APPS.map(|app| self.adaptations_of(app)),
+        }
+    }
+}
+
+/// What a fanned goal-run job hands its table reducer instead of the
+/// whole [`GoalRun`], so a sweep never holds every finished run's
+/// series and report at once.
+#[derive(Clone, Debug)]
+pub struct GoalTally {
+    /// Controller outcome (goal met, adaptation and alert counts).
+    pub outcome: GoalOutcome,
+    /// Run duration, seconds.
+    pub duration_s: f64,
+    /// Residual energy at the end, J.
+    pub residual_j: f64,
+    /// Total energy consumed, J.
+    pub total_j: f64,
+    /// RPC attempts aborted by timeout.
+    pub rpc_timeouts: u64,
+    /// RPC attempts re-issued after a timeout.
+    pub rpc_retries: u64,
+    /// Fidelity changes per application, in [`APPS`] order.
+    pub adaptations: [usize; 4],
+}
+
+/// Fraction of a cell's `trials.n` runs that met the goal.
+pub fn met_fraction(runs: &[GoalTally], trials: &Trials) -> f64 {
+    runs.iter().filter(|r| r.outcome.goal_met).count() as f64 / trials.n as f64
 }
 
 /// The safety-net horizon the composite rig uses for a given goal.

@@ -7,11 +7,12 @@
 //! a trial-specific random stream and reduces the reports.
 //!
 //! Trials are independent by construction — trial `i`'s stream is a pure
-//! function of `(seed, label, i)`, forked *before* any trial runs — so
-//! [`run_trials`] fans them out through the [`simcore::par`] work pool
-//! and merges reports in trial order. The parallel run is byte-identical
-//! to the serial one at any thread count (`tests/parallel_equivalence.rs`
-//! pins this).
+//! function of `(seed, label, i)` — so [`fan`] runs every *(cell, trial)*
+//! of a sweep as one [`simcore::par`] dispatch and merges results in
+//! cell and trial order. [`run_trials`] and every sweep of the
+//! evaluation go through it. The parallel run is byte-identical to the
+//! serial one at any thread count (`tests/parallel_equivalence.rs` pins
+//! this).
 //!
 //! Every trial executes through the [`simserve::Session`] batch API
 //! ([`Session::adopt`]), so the harness and the always-on `serve` mode
@@ -69,31 +70,50 @@ impl Trials {
     }
 }
 
+/// Runs `job(cell, i)` for every trial `i` of every cell as one pool
+/// dispatch and returns each cell's results in trial order.
+///
+/// This is the evaluation's one fan-out: the unit of work is a single
+/// *(cell, trial)* run, so a sweep of a few cells still keeps every
+/// worker busy, and the index-ordered merge hands each cell its trials
+/// in order — byte-identical to the serial loop at any thread count.
+/// Jobs must derive their random stream purely from `(seed, label, i)`
+/// (e.g. `root.fork_indexed(label, i)`), so no job can see another's
+/// draws. Runs are few, expensive and skewed in cost, so the pool is
+/// pinned to grain 1: each chunk is one run, and a worker stuck on a
+/// long one never holds undone runs hostage. Jobs should return only
+/// what the reducer reads, so finished runs are not all held at once.
+pub fn fan<C: Sync, R: Send>(
+    trials: &Trials,
+    cells: &[C],
+    job: impl Fn(&C, usize) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let n = trials.n;
+    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
+    let (runs, _) =
+        simcore::par::map_indexed_stats(&cfg, cells.len() * n, |j| job(&cells[j / n], j % n));
+    let mut runs = runs.into_iter();
+    cells
+        .iter()
+        .map(|_| runs.by_ref().take(n).collect())
+        .collect()
+}
+
 /// Runs `build` once per trial and returns all reports, in trial order.
 ///
 /// `label` isolates this experiment's random streams from others sharing
-/// the master seed. Every trial stream is forked *up front* from the
+/// the master seed. Trial `i` runs on `fork_indexed(label, i)` of the
 /// master — a pure function of `(seed, label, i)` — so neither the trial
 /// count nor the execution order (serial or parallel) can perturb the
-/// draws any trial sees.
-///
-/// Trials are few and expensive with skewed costs (a trial that adapts
-/// often runs much longer than one that coasts), so the pool is pinned
-/// to grain 1: each chunk is a single trial, and a worker stuck on a
-/// long trial never holds undone trials hostage.
+/// draws any trial sees. Trials fan out through [`fan`] as one cell.
 pub fn run_trials(
     trials: &Trials,
     label: &str,
     build: impl Fn(&mut SimRng) -> Machine + Sync,
 ) -> Vec<RunReport> {
     let root = SimRng::new(trials.seed);
-    // Hoisted fork: all per-trial streams exist before any trial runs.
-    let streams: Vec<SimRng> = (0..trials.n)
-        .map(|i| root.fork_indexed(label, i as u64))
-        .collect();
-    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
-    simcore::par::map_stats(&cfg, &streams, |_, stream| {
-        let mut rng = stream.clone();
+    let mut cells = fan(trials, &[()], |_, i| {
+        let mut rng = root.fork_indexed(label, i as u64);
         let machine = build(&mut rng);
         #[expect(
             clippy::expect_used,
@@ -105,8 +125,14 @@ pub fn run_trials(
             reason = "first run of a fresh session cannot fail"
         )]
         session.run_to_completion().expect("run adopted session")
-    })
-    .0
+    });
+    cells.pop().unwrap_or_default()
+}
+
+/// Statistics of `value` over a cell's runs, in trial order.
+pub fn trial_stats<T>(runs: &[T], value: impl Fn(&T) -> f64) -> TrialStats {
+    let values: Vec<f64> = runs.iter().map(value).collect();
+    TrialStats::from_values(&values)
 }
 
 /// Total-energy statistics over a set of reports.

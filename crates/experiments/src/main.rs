@@ -25,9 +25,11 @@
 //! after an intentional behavior change; `bench` times the canonical
 //! scenarios across thread counts (`--reps` repetitions each), verifies
 //! parallel output digests match serial, and writes `BENCH_sweep.json`
-//! (with `--check [BASELINE.json]` it also fails when any scenario's
-//! speedup drops more than `--tolerance` below the committed sweep,
-//! default `results/BENCH_sweep.json` at 0.30);
+//! (with `--check [BASELINE.json]` it also fails when a scenario the
+//! baseline fanned across workers drops more than `--tolerance` below
+//! its committed speedup, or a scenario the baseline ran without the
+//! pool starts dispatching; default `results/BENCH_sweep.json` at
+//! 0.30);
 //! `serve` replays the longest golden trace through an always-on
 //! session at `--multiple` density, kills it at a mid-run checkpoint,
 //! resumes, and exits non-zero on any digest or trace divergence
@@ -85,7 +87,7 @@ const FUZZ_STREAMS: usize = 1000;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T[,T...]] [--reps R] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  golden traces: tracediff (compare against tests/golden/) | tracerec (regenerate)\n  benchmarks: bench (time scenarios across --threads counts, write BENCH_sweep.json; --check [BASELINE.json] fails on speedups more than --tolerance below the committed sweep)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)\n  energy: energymap (write per-call-path energy tables to --out, default results/; with --check, gate against tests/golden/energymap_*.txt) | energymaprec (regenerate those goldens)",
+        "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T[,T...]] [--reps R] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  golden traces: tracediff (compare against tests/golden/) | tracerec (regenerate)\n  benchmarks: bench (time scenarios across --threads counts, write BENCH_sweep.json; --check [BASELINE.json] fails when a dispatching scenario's speedup drops more than --tolerance below the committed sweep, or a serial one starts dispatching)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)\n  energy: energymap (write per-call-path energy tables to --out, default results/; with --check, gate against tests/golden/energymap_*.txt) | energymaprec (regenerate those goldens)",
         ALL.join(" ")
     );
     std::process::exit(2)

@@ -17,7 +17,7 @@ use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::fig20::APPS;
 use crate::goalrig::run_bursty_goal;
-use crate::harness::Trials;
+use crate::harness::{fan, Trials};
 use crate::table::Table;
 
 /// Energy supply, J. The paper's 90,000 J matches a fully-charged 560X
@@ -85,7 +85,8 @@ pub fn run(trials: &Trials) -> Sec54 {
     )
 }
 
-/// Runs a scaled configuration (tests use shorter horizons).
+/// Runs a scaled configuration (tests use shorter horizons), every
+/// trial as one fan-out job.
 pub fn run_config(
     trials: &Trials,
     initial_j: f64,
@@ -94,24 +95,24 @@ pub fn run_config(
     extended_goal_s: u64,
 ) -> Sec54 {
     let root = SimRng::new(trials.seed);
-    let rows = (0..trials.n)
-        .map(|i| {
-            let mut rng = root.fork_indexed("sec54", i as u64);
-            let cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s)).with_extension(
-                SimTime::from_secs(extend_at_s),
-                SimDuration::from_secs(extended_goal_s),
-            );
-            let run = run_bursty_goal(cfg, &mut rng);
-            LongTrial {
-                trial: i + 1,
-                goal_met: run.outcome.goal_met,
-                residual_j: run.report.residual_j,
-                duration_s: run.report.duration_s(),
-                adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
-            }
-        })
-        .collect();
-    Sec54 { trials: rows }
+    let rows = fan(trials, &[()], |_, i| {
+        let mut rng = root.fork_indexed("sec54", i as u64);
+        let cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s)).with_extension(
+            SimTime::from_secs(extend_at_s),
+            SimDuration::from_secs(extended_goal_s),
+        );
+        let run = run_bursty_goal(cfg, &mut rng);
+        LongTrial {
+            trial: i + 1,
+            goal_met: run.outcome.goal_met,
+            residual_j: run.report.residual_j,
+            duration_s: run.report.duration_s(),
+            adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
+        }
+    });
+    Sec54 {
+        trials: rows.into_iter().flatten().collect(),
+    }
 }
 
 /// Renders the per-trial table.

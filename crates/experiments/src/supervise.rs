@@ -18,11 +18,10 @@
 //! response counters.
 
 use hw560x::EnergySource;
-use machine::{Machine, MachineConfig, Pid, RunReport};
+use machine::{Machine, MachineConfig, Pid};
 use odyssey::goal::MONITOR_OVERHEAD_W;
 use odyssey::{
-    GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor, SupervisorConfig,
-    SupervisorStats,
+    GoalConfig, GoalController, PriorityTable, Supervisor, SupervisorConfig, SupervisorStats,
 };
 use odyssey_apps::composite::{composite_members, CompositeMode};
 use odyssey_apps::datasets::VIDEO_CLIPS;
@@ -32,7 +31,7 @@ use simcore::{SimDuration, SimRng, SimTime, TrialStats};
 
 use crate::chaos::{CHAOS_ENERGY_J, GOAL_S};
 use crate::goalrig::composite_horizon;
-use crate::harness::Trials;
+use crate::harness::{fan, trial_stats, Trials};
 use crate::table::Table;
 
 /// The swept misbehaving-app counts.
@@ -117,9 +116,12 @@ impl Supervise {
     }
 }
 
+/// The scalars a supervision cell reads from one run.
 struct SuperRun {
-    outcome: GoalOutcome,
-    report: RunReport,
+    goal_met: bool,
+    duration_s: f64,
+    residual_j: f64,
+    total_j: f64,
     stats: SupervisorStats,
 }
 
@@ -234,8 +236,10 @@ fn run_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRun {
     )]
     let report = session.run_until(rig.horizon).expect("run adopted session");
     SuperRun {
-        outcome: rig.goal.outcome(),
-        report,
+        goal_met: rig.goal.outcome().goal_met,
+        duration_s: report.duration_s(),
+        residual_j: report.residual_j,
+        total_j: report.total_j,
         stats: rig.supervisor.map(|h| h.stats()).unwrap_or_default(),
     }
 }
@@ -245,26 +249,13 @@ pub fn run(trials: &Trials) -> Supervise {
     run_sweep(trials, &KS)
 }
 
-/// Runs an arbitrary sweep over misbehaving-app counts.
-///
-/// The fan-out unit is one *(cell, trial)* run — every trial stream is
-/// keyed purely by `(seed, k, trial)`, so all `cells × trials.n` runs
-/// are independent jobs. Flattening to trial granularity keeps every
-/// worker busy even when the sweep has few cells (the bench scenario
-/// sweeps a single k: two cells, but `2 × n` jobs), and the
-/// index-ordered merge reduces each cell from its trials in trial
-/// order — byte-identical to the serial run at any thread count.
+/// Runs an arbitrary sweep over misbehaving-app counts, every
+/// (cell, trial) run as one fan-out job. Trial streams are keyed purely
+/// by `(seed, k, trial)`.
 pub fn run_sweep(trials: &Trials, ks: &[usize]) -> Supervise {
     let specs: Vec<(usize, bool)> = ks.iter().flat_map(|&k| [(k, false), (k, true)]).collect();
-    let n = trials.n.max(1);
-    let mut jobs: Vec<(usize, bool, usize)> = Vec::with_capacity(specs.len() * n);
-    for &(k, supervised) in &specs {
-        for i in 0..n {
-            jobs.push((k, supervised, i));
-        }
-    }
     let root = SimRng::new(trials.seed);
-    let runs = simcore::par::map(trials.threads, &jobs, |_, &(k, supervised, i)| {
+    let runs = fan(trials, &specs, |&(k, supervised), i| {
         // Workload streams are keyed by k and trial only, so the
         // unsupervised and supervised cells face the identical
         // applications — a paired comparison.
@@ -273,8 +264,8 @@ pub fn run_sweep(trials: &Trials, ks: &[usize]) -> Supervise {
     });
     let cells = specs
         .iter()
-        .zip(runs.chunks(n))
-        .map(|(&(k, supervised), cell_runs)| reduce_cell(trials, k, supervised, cell_runs))
+        .zip(&runs)
+        .map(|(&(k, supervised), runs)| reduce_cell(trials, k, supervised, runs))
         .collect();
     Supervise {
         cells,
@@ -286,59 +277,32 @@ pub fn run_sweep(trials: &Trials, ks: &[usize]) -> Supervise {
 /// Reduces one (k, supervised) cell from its `trials.n` paired trial
 /// runs (in trial order).
 fn reduce_cell(trials: &Trials, k: usize, supervised: bool, runs: &[SuperRun]) -> SuperviseCell {
-    let mut met = 0usize;
-    let mut hit95 = 0usize;
-    let mut shortfall = Vec::new();
-    let mut residual = Vec::new();
-    let mut energy = Vec::new();
-    let mut hangs = Vec::new();
-    let mut ignores = Vec::new();
-    let mut overdraws = Vec::new();
-    let mut clamps = Vec::new();
-    let mut quarantines = Vec::new();
-    let mut restarts = Vec::new();
-    let mut crash_releases = Vec::new();
-    let mut redistributed = Vec::new();
-    for run in runs {
-        let dur = run.report.duration_s();
-        if run.outcome.goal_met {
-            met += 1;
-        }
-        if run.outcome.goal_met || dur >= 0.95 * GOAL_S as f64 {
-            hit95 += 1;
-        }
-        shortfall.push(if run.outcome.goal_met {
-            0.0
-        } else {
-            (GOAL_S as f64 - dur.min(GOAL_S as f64)) / GOAL_S as f64 * 100.0
-        });
-        residual.push(run.report.residual_j);
-        energy.push(run.report.total_j);
-        hangs.push(run.stats.hang_strikes as f64);
-        ignores.push(run.stats.ignore_strikes as f64);
-        overdraws.push(run.stats.overdraw_strikes as f64);
-        clamps.push(run.stats.clamps as f64);
-        quarantines.push(run.stats.quarantines as f64);
-        restarts.push(run.stats.restarts as f64);
-        crash_releases.push(run.stats.crash_releases as f64);
-        redistributed.push(run.stats.redistributed_w);
-    }
+    let goal = GOAL_S as f64;
+    let fraction = |hit: fn(&SuperRun) -> bool| {
+        runs.iter().filter(|r| hit(r)).count() as f64 / trials.n as f64
+    };
     SuperviseCell {
         k,
         supervised,
-        met_fraction: met as f64 / trials.n as f64,
-        hit95_fraction: hit95 as f64 / trials.n as f64,
-        shortfall_pct: TrialStats::from_values(&shortfall),
-        residual: TrialStats::from_values(&residual),
-        energy: TrialStats::from_values(&energy),
-        hangs: TrialStats::from_values(&hangs),
-        ignores: TrialStats::from_values(&ignores),
-        overdraws: TrialStats::from_values(&overdraws),
-        clamps: TrialStats::from_values(&clamps),
-        quarantines: TrialStats::from_values(&quarantines),
-        restarts: TrialStats::from_values(&restarts),
-        crash_releases: TrialStats::from_values(&crash_releases),
-        redistributed_w: TrialStats::from_values(&redistributed),
+        met_fraction: fraction(|r| r.goal_met),
+        hit95_fraction: fraction(|r| r.goal_met || r.duration_s >= 0.95 * GOAL_S as f64),
+        shortfall_pct: trial_stats(runs, |r| {
+            if r.goal_met {
+                0.0
+            } else {
+                (goal - r.duration_s.min(goal)) / goal * 100.0
+            }
+        }),
+        residual: trial_stats(runs, |r| r.residual_j),
+        energy: trial_stats(runs, |r| r.total_j),
+        hangs: trial_stats(runs, |r| r.stats.hang_strikes as f64),
+        ignores: trial_stats(runs, |r| r.stats.ignore_strikes as f64),
+        overdraws: trial_stats(runs, |r| r.stats.overdraw_strikes as f64),
+        clamps: trial_stats(runs, |r| r.stats.clamps as f64),
+        quarantines: trial_stats(runs, |r| r.stats.quarantines as f64),
+        restarts: trial_stats(runs, |r| r.stats.restarts as f64),
+        crash_releases: trial_stats(runs, |r| r.stats.crash_releases as f64),
+        redistributed_w: trial_stats(runs, |r| r.stats.redistributed_w),
     }
 }
 

@@ -11,8 +11,8 @@
 //! traces and a battery of adversarial shapes).
 //!
 //! Consumers beyond the experiment sweeps: `simserve` fans whole session
-//! lifecycles across the pool, and `simlint` fans its per-file analysis
-//! (`--threads`), both with the same index-ordered-merge guarantee.
+//! lifecycles across the pool with the same index-ordered-merge
+//! guarantee.
 //!
 //! # The determinism contract (DESIGN.md §13, §18)
 //!
@@ -43,6 +43,15 @@
 //! *boundaries* and the merged output are pure functions of
 //! `(n, workers, grain)`.
 //!
+//! Sizing chunks by item *count* assumes items cost about the same. When
+//! a caller knows they do not, [`map_costed_stats`] takes a static
+//! per-item cost hint and [`plan_chunks_by_cost`] sizes each chunk by
+//! summed cost instead (`remaining_cost / (2 * workers)`), so a run of
+//! expensive items at the front is split across workers rather than
+//! handed to one. It is the same planner: unit costs reproduce
+//! [`plan_chunks`] exactly, and the plan stays a pure function of
+//! `(costs, workers, grain)`.
+//!
 //! The [`PoolStats`] surface (and the process-wide [`telemetry`]
 //! counters behind the `bench` verb's per-record metadata) reports what
 //! the scheduler actually did — chunks claimed, items per worker,
@@ -68,6 +77,12 @@
 //! let (out, stats) = simpar::map_indexed_stats(&cfg, 8, |i| i + 1);
 //! assert_eq!(out, (1..=8).collect::<Vec<_>>());
 //! assert_eq!(stats.items, 8);
+//!
+//! // A cost hint splits a heavy prefix across workers.
+//! let costs = [60, 60, 60, 60, 1, 1, 1, 1];
+//! let (out, stats) = simpar::map_costed_stats(&cfg.grain(1), &costs, |&c| c, |_, &c| c * 2);
+//! assert_eq!(out, costs.iter().map(|c| c * 2).collect::<Vec<_>>());
+//! assert_eq!(stats.plan[0], simpar::Chunk { start: 0, len: 1 });
 //! ```
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -198,22 +213,47 @@ pub fn auto_grain(n: usize, workers: usize) -> usize {
     (n / (workers.max(1) * GRAIN_CHUNKS_PER_WORKER)).max(1)
 }
 
-/// Builds the guided chunk plan for `n` items on `workers` workers with
-/// minimum chunk size `grain`: each successive chunk takes
+/// Builds the guided chunk plan for `n` unit-cost items on `workers`
+/// workers with minimum chunk size `grain`: each successive chunk takes
 /// `remaining / (2 * workers)` items, floored at `grain`, capped at the
-/// remainder. The plan is a pure function of its arguments; the
-/// invariant tests pin that it partitions `0..n` exactly (no overlap,
-/// no gap) for adversarial shapes.
+/// remainder. This is [`plan_chunks_by_cost`] with every cost 1.
 pub fn plan_chunks(n: usize, workers: usize, grain: usize) -> Vec<Chunk> {
-    let workers = workers.max(1);
+    plan(n, workers, grain, |_| 1)
+}
+
+/// Builds the cost-aware guided chunk plan: item `i` costs `costs[i]`
+/// (a relative hint; 0 counts as 1), and each successive chunk takes
+/// the longest run of items whose summed cost stays within
+/// `remaining_cost / (2 * workers)` — at least one item, floored at
+/// `grain`, capped at the remainder. With unit costs this is exactly
+/// [`plan_chunks`]; with skewed costs the expensive items no longer
+/// share one count-sized first chunk. The plan is a pure function of
+/// its arguments; the invariant tests pin that it partitions `0..n`
+/// exactly (no overlap, no gap) for adversarial shapes.
+pub fn plan_chunks_by_cost(costs: &[u64], workers: usize, grain: usize) -> Vec<Chunk> {
+    plan(costs.len(), workers, grain, |i| costs[i])
+}
+
+/// The one planner behind [`plan_chunks`] and [`plan_chunks_by_cost`].
+/// Costs are summed in `u128`, so no hint can overflow the budget.
+fn plan(n: usize, workers: usize, grain: usize, cost: impl Fn(usize) -> u64) -> Vec<Chunk> {
+    let divisor = (CHUNK_DIVISOR * workers.max(1)) as u128;
     let grain = grain.max(1);
+    let cost = |i: usize| u128::from(cost(i).max(1));
+    let mut remaining_cost: u128 = (0..n).map(cost).sum();
     let mut chunks = Vec::new();
     let mut start = 0usize;
     while start < n {
         let remaining = n - start;
-        let len = (remaining / (CHUNK_DIVISOR * workers))
-            .max(grain)
-            .min(remaining);
+        let budget = remaining_cost / divisor;
+        let mut len = 0usize;
+        let mut spent = 0u128;
+        while len < remaining && spent + cost(start + len) <= budget {
+            spent += cost(start + len);
+            len += 1;
+        }
+        let len = len.max(grain).min(remaining);
+        remaining_cost -= (start..start + len).map(cost).sum::<u128>();
         chunks.push(Chunk { start, len });
         start += len;
     }
@@ -252,6 +292,21 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    dispatch(cfg, n, |workers, grain| plan_chunks(n, workers, grain), f)
+}
+
+/// The dispatch core: `plan_for(workers, grain)` builds the chunk plan
+/// once the spawning path has sized itself.
+fn dispatch<R, F>(
+    cfg: &PoolConfig,
+    n: usize,
+    plan_for: impl FnOnce(usize, usize) -> Vec<Chunk>,
+    f: F,
+) -> (Vec<R>, PoolStats)
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     let assumed = cfg
         .assume_parallelism
         .unwrap_or_else(available_threads)
@@ -282,7 +337,7 @@ where
         .grain
         .map(|g| g.max(1))
         .unwrap_or_else(|| auto_grain(n, workers));
-    let plan = plan_chunks(n, workers, grain);
+    let plan = plan_for(workers, grain);
     // One shared cursor hands out *chunks*; each worker owns a private
     // run buffer, so the only cross-thread traffic is one fetch_add per
     // chunk and the final join.
@@ -408,6 +463,30 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     run(cfg, items.len(), |i| f(i, &items[i]))
+}
+
+/// [`map_stats`] with a cost-aware chunk plan: `cost(&items[i])` is a
+/// static relative hint for job `i` (see [`plan_chunks_by_cost`]). The
+/// hint only moves chunk boundaries, so the results are those of
+/// [`map_stats`] — byte-identical to the serial loop.
+pub fn map_costed_stats<T, R, F>(
+    cfg: &PoolConfig,
+    items: &[T],
+    cost: impl Fn(&T) -> u64,
+    f: F,
+) -> (Vec<R>, PoolStats)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let costs: Vec<u64> = items.iter().map(cost).collect();
+    dispatch(
+        cfg,
+        items.len(),
+        |workers, grain| plan_chunks_by_cost(&costs, workers, grain),
+        |i| f(i, &items[i]),
+    )
 }
 
 /// Process-wide cumulative dispatch counters.

@@ -9,8 +9,13 @@
 //!    its per-worker chunk counts sum to the plan length (every chunk
 //!    claimed exactly once).
 //! 3. The inline fallback spawns zero workers and says so.
+//!
+//! The cost-aware plan (`plan_chunks_by_cost`) gets the same partition
+//! check under adversarial costs, must reproduce `plan_chunks` exactly
+//! for unit costs, and must keep every chunk within its cost budget on
+//! the skewed fig16 shape it exists for.
 
-use simpar::{auto_grain, plan_chunks, PoolConfig};
+use simpar::{auto_grain, plan_chunks, plan_chunks_by_cost, Chunk, PoolConfig};
 
 /// Adversarial item counts: empty, single, around powers of two, around
 /// typical worker counts, and a large one.
@@ -25,6 +30,25 @@ fn grains_for(n: usize) -> Vec<usize> {
     vec![1, 2, 7, n.max(1), n + 1]
 }
 
+/// Asserts that `plan` partitions `0..n` exactly: contiguous, no
+/// overlap, no gap, every chunk non-empty.
+fn assert_partition(plan: &[Chunk], n: usize, what: &str) {
+    let mut next = 0usize;
+    for c in plan {
+        assert_eq!(
+            c.start, next,
+            "gap/overlap at {what}: chunk starts at {} but {} items are covered",
+            c.start, next
+        );
+        assert!(c.len > 0, "empty chunk at {what}");
+        next += c.len;
+    }
+    assert_eq!(next, n, "plan covers {next} of {n} items at {what}");
+    if n == 0 {
+        assert!(plan.is_empty(), "non-empty plan for zero items");
+    }
+}
+
 /// Property 1: the plan partitions `0..n` exactly for every grid point.
 #[test]
 fn plan_partitions_index_space_exactly() {
@@ -32,30 +56,104 @@ fn plan_partitions_index_space_exactly() {
         for workers in WORKERS {
             for grain in grains_for(n) {
                 let plan = plan_chunks(n, workers, grain);
-                let mut next = 0usize;
-                for c in &plan {
-                    assert_eq!(
-                        c.start, next,
-                        "gap/overlap at n={n} workers={workers} grain={grain}: \
-                         chunk starts at {} but {} items are covered",
-                        c.start, next
+                assert_partition(&plan, n, &format!("n={n} workers={workers} grain={grain}"));
+            }
+        }
+    }
+}
+
+/// Adversarial cost vectors of length `n`, by name.
+fn adversarial_costs(n: usize) -> Vec<(&'static str, Vec<u64>)> {
+    let near_half = u64::MAX / 2;
+    vec![
+        ("all zero", vec![0; n]),
+        (
+            "huge first",
+            (0..n).map(|i| if i == 0 { near_half } else { 1 }).collect(),
+        ),
+        (
+            "huge last",
+            (0..n)
+                .map(|i| if i + 1 == n { near_half } else { 1 })
+                .collect(),
+        ),
+        (
+            "alternating",
+            (0..n).map(|i| if i % 2 == 0 { 1000 } else { 1 }).collect(),
+        ),
+        ("all near u64::MAX / 2", vec![near_half; n]),
+        (
+            "sum near u64::MAX / 2",
+            vec![near_half / (n.max(1) as u64); n],
+        ),
+    ]
+}
+
+/// The cost-aware plan partitions `0..n` exactly under adversarial
+/// costs — zero hints, one item dwarfing the rest at either end,
+/// alternating heavy/light, and sums at the edge of `u64`.
+#[test]
+fn cost_plan_partitions_index_space_exactly() {
+    for n in NS {
+        for (name, costs) in adversarial_costs(n) {
+            for workers in WORKERS {
+                for grain in grains_for(n) {
+                    let plan = plan_chunks_by_cost(&costs, workers, grain);
+                    assert_partition(
+                        &plan,
+                        n,
+                        &format!("{name} n={n} workers={workers} grain={grain}"),
                     );
-                    assert!(
-                        c.len > 0,
-                        "empty chunk at n={n} workers={workers} grain={grain}"
-                    );
-                    next += c.len;
-                }
-                assert_eq!(
-                    next, n,
-                    "plan covers {next} of {n} items (workers={workers} grain={grain})"
-                );
-                if n == 0 {
-                    assert!(plan.is_empty(), "non-empty plan for zero items");
                 }
             }
         }
     }
+}
+
+/// Unit costs are the count-guided plan: every existing caller of
+/// `plan_chunks` gets byte-identical chunk boundaries.
+#[test]
+fn unit_costs_reproduce_plan_chunks() {
+    for n in NS {
+        for workers in WORKERS {
+            for grain in grains_for(n) {
+                assert_eq!(
+                    plan_chunks_by_cost(&vec![1; n], workers, grain),
+                    plan_chunks(n, workers, grain),
+                    "n={n} workers={workers} grain={grain}"
+                );
+            }
+        }
+    }
+}
+
+/// On the bench fig16 shape — 64 cells whose first 16 (the Video row)
+/// carry the cost hint 60 — no chunk costs more than its budget
+/// `remaining / (2w)` or the largest single item, whichever is larger.
+/// Count-guided chunking put all 16 Video cells in chunk 0 at w = 2.
+#[test]
+fn fig16_shape_chunks_stay_within_budget() {
+    let costs: Vec<u64> = (0..64).map(|i| if i < 16 { 60 } else { 1 }).collect();
+    let workers = 2;
+    let largest = costs.iter().copied().max().unwrap_or(1);
+    let plan = plan_chunks_by_cost(&costs, workers, 1);
+    assert_partition(&plan, costs.len(), "fig16 shape");
+    let mut remaining: u64 = costs.iter().sum();
+    for c in &plan {
+        let cost: u64 = costs[c.start..c.start + c.len].iter().sum();
+        let bound = (remaining / (2 * workers as u64)).max(largest);
+        assert!(
+            cost <= bound,
+            "chunk {c:?} costs {cost}, over max(remaining/(2w), largest) = {bound}"
+        );
+        remaining -= cost;
+    }
+    let video_chunks = plan.iter().filter(|c| c.start < 16).count();
+    assert!(
+        video_chunks >= 4,
+        "Video cells must spread over several chunks, got {video_chunks}"
+    );
+    assert_eq!(plan_chunks(64, workers, 1)[0].len, 16);
 }
 
 /// The auto grain never exceeds the input and never drops to zero, so

@@ -5,11 +5,17 @@
 //! results at every thread count, because trial streams are pure
 //! functions of `(seed, label, index)` and merges happen in index
 //! order. This suite drives the contract end to end: golden-trace
-//! scenarios, the trial harness, and both cell-level sweeps, each at
+//! scenarios, the trial harness, the cell-level sweeps and every
+//! Section 5 goal experiment fanned through `harness::fan`, each at
 //! 1, 2, and 8 threads.
 
+use std::fmt::Debug;
+
 use experiments::harness::{run_trials, Trials};
-use experiments::{benchcli, chaos, energymap, fig16, supervise, tracerec};
+use experiments::{
+    ablate, benchcli, chaos, energymap, fig16, fig19, fig20, fig21, fig22, headline, sec54,
+    supervise, tracerec,
+};
 use machine::workload::ScriptedWorkload;
 use machine::{Machine, MachineConfig};
 use simcore::{SimDuration, SimRng};
@@ -157,4 +163,67 @@ fn energymap_tables_identical_across_thread_counts() {
             );
         }
     }
+}
+
+/// Runs `run` serially and at every thread count and asserts the
+/// results are byte-identical (compared through their full `Debug`
+/// rendering, so every field and every float bit participates).
+fn assert_identical_across_thread_counts<T: Debug>(what: &str, run: impl Fn(&Trials) -> T) {
+    let serial = format!("{:?}", run(&quick()));
+    for threads in THREAD_COUNTS {
+        assert_eq!(
+            serial,
+            format!("{:?}", run(&quick().with_threads(threads))),
+            "{what} diverges at {threads} threads"
+        );
+    }
+}
+
+/// Figure 19 fans its goals (one run each) across the pool.
+#[test]
+fn fig19_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("fig19", |t| fig19::run_goals(t, &fig19::GOALS_S));
+}
+
+/// Figure 20 fans every (goal, trial) run across the pool.
+#[test]
+fn fig20_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("fig20", |t| {
+        fig20::run_goals(t, &[1200, 1560], fig19::INITIAL_ENERGY_J)
+    });
+}
+
+/// Figure 21 fans every (half-life, trial) run across the pool.
+#[test]
+fn fig21_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("fig21", |t| fig21::run_half_lives(t, &[0.01, 0.10]));
+}
+
+/// Figure 22 fans its bursty trials across the pool.
+#[test]
+fn fig22_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("fig22", |t| {
+        fig22::run_config(t, 900, fig22::INITIAL_ENERGY_J)
+    });
+}
+
+/// Section 5.4 fans its long-goal trials across the pool (scaled to a
+/// sixth of every duration, as its own test does).
+#[test]
+fn sec54_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("sec54", |t| {
+        sec54::run_config(t, 18_500.0, 1_650, 600, 1_950)
+    });
+}
+
+/// The controller ablations fan their four variants across the pool.
+#[test]
+fn ablate_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("ablate", ablate::run);
+}
+
+/// The headline aggregates fig16's cost-hinted cell dispatch.
+#[test]
+fn headline_identical_across_thread_counts() {
+    assert_identical_across_thread_counts("headline", headline::run);
 }
