@@ -121,9 +121,10 @@ pub fn table(scenario: &str, seed: u64, decode_inflation: f64) -> Result<String,
 /// Renders every scenario's table at [`GOLDEN_SEED`], fanned out over
 /// `threads` workers. Output is byte-identical at any thread count (the
 /// parallel-identity test pins this). A handful of whole-scenario
-/// profiles with very different runtimes: grain 1, one chunk each.
+/// profiles with very different runtimes: the guided plan gives each
+/// its own chunk.
 pub fn render_all(threads: usize) -> Result<Vec<(&'static str, String)>, String> {
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
+    let cfg = simcore::par::PoolConfig::new(threads);
     let (outputs, _) = simcore::par::map_stats(&cfg, &SCENARIOS, |_, scenario| {
         table(scenario, GOLDEN_SEED, 1.0)
     });

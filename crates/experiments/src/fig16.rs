@@ -292,9 +292,7 @@ pub fn run_with_thinks(trials: &Trials, thinks: &[f64]) -> Fig16 {
         }
     }
     let inner = trials.with_threads(1);
-    // Grain 1: cells are coarse, and a count floor would regroup the
-    // Video cells the cost hint splits apart.
-    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
+    let cfg = simcore::par::PoolConfig::new(trials.threads);
     let (energies, _) = simcore::par::map_costed_stats(
         &cfg,
         &cells,

@@ -474,8 +474,8 @@ pub fn run_verb(
         .digest;
     let idxs: Vec<u64> = (0..streams as u64).collect();
     // Hostile streams have wildly uneven cost (one may freeze/thaw,
-    // another dies early), so grain 1 keeps the chunked pool balanced.
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
+    // another dies early); the guided chunk plan keeps the pool balanced.
+    let cfg = simcore::par::PoolConfig::new(threads);
     let (results, _) = simcore::par::map_stats(&cfg, &idxs, |_, &i| {
         fuzz_one(seed, &base, &alt, clean_digest, i)
     });

@@ -79,9 +79,9 @@ impl Trials {
 /// in order — byte-identical to the serial loop at any thread count.
 /// Jobs must derive their random stream purely from `(seed, label, i)`
 /// (e.g. `root.fork_indexed(label, i)`), so no job can see another's
-/// draws. Runs are few, expensive and skewed in cost, so the pool is
-/// pinned to grain 1: each chunk is one run, and a worker stuck on a
-/// long one never holds undone runs hostage. Jobs should return only
+/// draws. Runs are few, expensive and skewed in cost; the pool's guided
+/// chunks shrink to single runs at the tail, so a worker stuck on a
+/// long one never holds many undone runs hostage. Jobs should return only
 /// what the reducer reads, so finished runs are not all held at once.
 pub fn fan<C: Sync, R: Send>(
     trials: &Trials,
@@ -89,7 +89,7 @@ pub fn fan<C: Sync, R: Send>(
     job: impl Fn(&C, usize) -> R + Sync,
 ) -> Vec<Vec<R>> {
     let n = trials.n;
-    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
+    let cfg = simcore::par::PoolConfig::new(trials.threads);
     let (runs, _) =
         simcore::par::map_indexed_stats(&cfg, cells.len() * n, |j| job(&cells[j / n], j % n));
     let mut runs = runs.into_iter();

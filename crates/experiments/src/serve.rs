@@ -7,7 +7,9 @@
 //! times, the soak CI runs. The verb then kills the session at a mid-run
 //! checkpoint, resumes by replaying the identical stream, and fails on
 //! any divergence: journal digest at the salvage point, final state
-//! digest, or a single trace byte.
+//! digest, or a single trace byte. The kill/resume proofs replay the
+//! golden stream extended to the goal deadline ([`proof_stream`]), so
+//! every checkpoint falls inside the stream and can be killed at.
 //!
 //! [`torture_sweep`] extends the single mid-run kill to *every*
 //! checkpoint boundary, fanned out over the deterministic work pool —
@@ -16,18 +18,15 @@
 
 use std::fs;
 
-use simcore::{Checkpoint, SimDuration, SimRng, TraceCategory, TraceHandle, TraceSink};
-use simserve::{run_fleet, FleetSpec, Sample, ServeError, Session, SessionConfig, SessionHealth};
+use simcore::{Checkpoint, SimRng, TraceCategory, TraceHandle, TraceSink};
+use simserve::{run_fleet, FleetSpec, Sample, ServeError, Session, SessionHealth, INGEST_BATCH};
 
+use crate::chaos::GOAL_S;
 use crate::supervise;
 use crate::tracerec;
 
 /// The golden scenario the serve session replays (the longest trace).
 pub const REPLAY_SCENARIO: &str = "supervise";
-
-/// Checkpoint cadence of the serve session, sim-seconds. 180 s over the
-/// ~1560 s goal run yields eight torture boundaries.
-pub const CKPT_EVERY_S: u64 = 180;
 
 /// Everything one serve run leaves behind. For a killed run only the
 /// journal (`checkpoints`) survives by contract; the rest is what the
@@ -53,21 +52,18 @@ pub struct ServeRun {
 /// resume-by-replay sound.
 pub fn build_session(seed: u64) -> Result<Session, ServeError> {
     let mut rng = SimRng::new(seed).fork_indexed("supervise/2", 0);
-    let rig = supervise::build_one(2, true, &mut rng);
+    let mut rig = supervise::build_one(2, true, &mut rng);
     // The supervise golden categories plus the service layer's own
     // events (reconfig verdicts, dead letters).
-    let trace = TraceHandle::new(TraceSink::new().with_categories(&[
-        TraceCategory::Net,
-        TraceCategory::Fault,
-        TraceCategory::Control,
-        TraceCategory::Supervisor,
-        TraceCategory::Service,
-    ]));
-    let cfg = SessionConfig {
-        checkpoint_every: SimDuration::from_secs(CKPT_EVERY_S),
-        ..SessionConfig::standard(rig.horizon)
-    };
-    Session::serve(rig.machine, Some(rig.goal), rig.supervisor, trace, cfg)
+    rig.machine
+        .set_trace(TraceHandle::new(TraceSink::new().with_categories(&[
+            TraceCategory::Net,
+            TraceCategory::Fault,
+            TraceCategory::Control,
+            TraceCategory::Supervisor,
+            TraceCategory::Service,
+        ])));
+    Session::serve(rig.machine, Some(rig.goal), rig.supervisor, rig.horizon)
 }
 
 /// Sim time of a golden JSONL line (every line starts `{"time_s":…,`).
@@ -128,6 +124,26 @@ pub fn schedule_for(scenario: &str, multiple: u32) -> Result<Vec<Sample>, String
     Ok(out)
 }
 
+/// The stream the kill/resume proofs replay: `samples`, then one tick
+/// per sim-second up to the goal deadline, where the supervised rig's
+/// controller ends the run. A golden stream stops well short of the last
+/// checkpoint (the supervise golden at 524 s, the last checkpoint at
+/// 1440 s), and a checkpoint that only `finish` records can never be
+/// killed at. With the tail every checkpoint falls inside the stream,
+/// and an ingest batch of per-second ticks spans less than the
+/// checkpoint period, so a kill lands right after each one.
+pub fn proof_stream(samples: &[Sample]) -> Vec<Sample> {
+    let last_s = samples.last().map_or(0.0, |s| s.at_s);
+    let mut out = samples.to_vec();
+    out.extend(
+        (0..=GOAL_S)
+            .map(|t| t as f64)
+            .filter(|&t| t > last_s)
+            .map(Sample::tick),
+    );
+    out
+}
+
 /// Replays `samples` through a fresh session at `seed`. With
 /// `kill_after_ckpt = Some(k)` the run is killed (dropped mid-stream)
 /// as soon as checkpoint `k` has been recorded — modelling a crash
@@ -141,7 +157,7 @@ pub fn replay(
     let mut directives = 0usize;
     let mut fed = 0usize;
     let mut killed = false;
-    for chunk in samples.chunks(64) {
+    for chunk in samples.chunks(INGEST_BATCH) {
         directives += session
             .ingest(chunk)
             .map_err(|e| format!("serve: ingest failed at sample {fed}: {e}"))?
@@ -191,7 +207,7 @@ pub struct FrozenRun {
 pub fn freeze_at_boundary(seed: u64, samples: &[Sample], k: usize) -> Result<FrozenRun, String> {
     let mut session = build_session(seed).map_err(|e| format!("serve: {e}"))?;
     let mut fed = 0usize;
-    for chunk in samples.chunks(64) {
+    for chunk in samples.chunks(INGEST_BATCH) {
         session
             .ingest(chunk)
             .map_err(|e| format!("serve: ingest failed at sample {fed}: {e}"))?;
@@ -224,7 +240,7 @@ pub fn snapshot_resume(
     let rest = samples.get(frozen.samples_fed..).unwrap_or(&[]);
     let mut directives = 0usize;
     let mut fed = frozen.samples_fed;
-    for chunk in rest.chunks(64) {
+    for chunk in rest.chunks(INGEST_BATCH) {
         directives += session
             .ingest(chunk)
             .map_err(|e| format!("serve: post-thaw ingest failed at sample {fed}: {e}"))?
@@ -246,44 +262,15 @@ pub fn snapshot_resume(
     })
 }
 
-/// Verifies one crash boundary: kill after checkpoint `k`, salvage the
-/// journal, resume by replaying the identical stream, and demand the
-/// resumed run passes through the salvage point and ends byte-identical
-/// to `base`. Then proves the O(state) path: a snapshot frozen at the
-/// same boundary thaws into a fresh shell, consumes only the remaining
-/// stream, and lands on the same digests and trace. Returns a one-line
-/// proof summary.
-fn verify_boundary(
-    seed: u64,
-    samples: &[Sample],
-    base: &ServeRun,
-    k: usize,
-) -> Result<String, String> {
-    let crashed = replay(seed, samples, Some(k))?;
-    let salvage = *crashed
-        .checkpoints
-        .last()
-        .ok_or_else(|| format!("boundary {k}: crashed run journaled nothing"))?;
-    if crashed.trace.len() > base.trace.len()
-        || crashed.trace[..] != base.trace[..crashed.trace.len()]
-    {
-        return Err(format!(
-            "boundary {k}: crashed run's trace is not a prefix of the uninterrupted run's"
-        ));
-    }
+/// Resumes by replay: rebuilds the session, feeds the identical stream,
+/// and demands the run end byte-identical to `base` — final digest and
+/// every trace event. The result is the resumed run each boundary's
+/// salvaged checkpoint is then checked against.
+fn replay_resume(seed: u64, samples: &[Sample], base: &ServeRun) -> Result<ServeRun, String> {
     let resumed = replay(seed, samples, None)?;
-    if !resumed
-        .checkpoints
-        .iter()
-        .any(|c| c.t == salvage.t && c.digest == salvage.digest)
-    {
-        return Err(format!(
-            "boundary {k}: resumed run diverged from salvaged checkpoint {salvage:?}"
-        ));
-    }
     if resumed.final_digest != base.final_digest {
         return Err(format!(
-            "boundary {k}: final digest {:#018x} != uninterrupted {:#018x}",
+            "resumed final digest {:#018x} != uninterrupted {:#018x}",
             resumed.final_digest, base.final_digest
         ));
     }
@@ -295,7 +282,56 @@ fn verify_boundary(
             .position(|(a, b)| a != b)
             .unwrap_or(resumed.trace.len().min(base.trace.len()));
         return Err(format!(
-            "boundary {k}: resumed trace diverges from uninterrupted at event {at}"
+            "resumed trace diverges from uninterrupted at event {at}"
+        ));
+    }
+    Ok(resumed)
+}
+
+/// Verifies one crash boundary: kill after checkpoint `k`, salvage the
+/// journal, and demand that the salvage point is checkpoint `k` itself
+/// and that the replay-resumed run (`resumed`, see [`replay_resume`])
+/// passes through it. Then proves the O(state) path: a snapshot frozen
+/// at the same boundary thaws into a fresh shell, consumes only the
+/// remaining stream, and lands on `base`'s digests and trace. Returns a
+/// one-line proof summary.
+fn verify_boundary(
+    seed: u64,
+    samples: &[Sample],
+    base: &ServeRun,
+    resumed: &ServeRun,
+    k: usize,
+) -> Result<String, String> {
+    let crashed = replay(seed, samples, Some(k))?;
+    let salvage = *crashed
+        .checkpoints
+        .last()
+        .ok_or_else(|| format!("boundary {k}: crashed run journaled nothing"))?;
+    let own = base
+        .checkpoints
+        .get(k)
+        .ok_or_else(|| format!("boundary {k}: the uninterrupted run has no checkpoint {k}"))?;
+    if salvage.t != own.t {
+        return Err(format!(
+            "boundary {k}: killed run salvaged t={:.0}s, not its own checkpoint at t={:.0}s",
+            salvage.t.as_secs_f64(),
+            own.t.as_secs_f64()
+        ));
+    }
+    if crashed.trace.len() > base.trace.len()
+        || crashed.trace[..] != base.trace[..crashed.trace.len()]
+    {
+        return Err(format!(
+            "boundary {k}: crashed run's trace is not a prefix of the uninterrupted run's"
+        ));
+    }
+    if !resumed
+        .checkpoints
+        .iter()
+        .any(|c| c.t == salvage.t && c.digest == salvage.digest)
+    {
+        return Err(format!(
+            "boundary {k}: resumed run diverged from salvaged checkpoint {salvage:?}"
         ));
     }
     // The O(state) path must land exactly where the O(history) path did.
@@ -334,16 +370,12 @@ fn verify_boundary(
     ))
 }
 
-/// The torture sweep: crash at *every* checkpoint boundary and prove
-/// each resume bit-identical, fanned out over `threads` workers.
-/// Returns one proof line per boundary (identical at any thread count)
-/// or the first divergence report.
-///
-/// Boundary cost rises with the boundary index (a later crash replays a
-/// longer prefix), so the pool is pinned to grain 1: the guided chunks
-/// never lump the expensive tail boundaries onto one worker.
+/// The torture sweep: crash at *every* checkpoint boundary of the proof
+/// stream and prove each resume bit-identical, fanned out over
+/// `threads` workers. Returns one proof line per boundary (identical at
+/// any thread count) or the first divergence report.
 pub fn torture_sweep(seed: u64, multiple: u32, threads: usize) -> Result<Vec<String>, String> {
-    let samples = schedule(multiple)?;
+    let samples = proof_stream(&schedule(multiple)?);
     let base = replay(seed, &samples, None)?;
     if base.checkpoints.len() < 2 {
         return Err(format!(
@@ -351,10 +383,11 @@ pub fn torture_sweep(seed: u64, multiple: u32, threads: usize) -> Result<Vec<Str
             base.checkpoints.len()
         ));
     }
+    let resumed = replay_resume(seed, &samples, &base)?;
     let boundaries: Vec<usize> = (0..base.checkpoints.len()).collect();
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
+    let cfg = simcore::par::PoolConfig::new(threads);
     let (results, _) = simcore::par::map_stats(&cfg, &boundaries, |_, &k| {
-        verify_boundary(seed, &samples, &base, k)
+        verify_boundary(seed, &samples, &base, &resumed, k)
     });
     let mut lines = Vec::with_capacity(results.len());
     for r in results {
@@ -377,7 +410,6 @@ pub fn run_sessions(
         .map(|i| FleetSpec {
             builder: move || build_session(seed + i as u64),
             samples: samples.to_vec(),
-            batch: 64,
         })
         .collect();
     let outcomes = run_fleet(threads, &specs);
@@ -403,9 +435,10 @@ pub fn run_sessions(
     Ok(lines)
 }
 
-/// The CLI verb body: replay `scenario` at `multiple` density, kill at
-/// the mid-run checkpoint, resume by replay *and* by snapshot, and
-/// report. With `sessions > 1` the stream is also served through that
+/// The CLI verb body: replay `scenario` at `multiple` density, extended
+/// to the goal deadline ([`proof_stream`]), kill at the mid-run
+/// checkpoint, resume by replay *and* by snapshot, and report. With
+/// `sessions > 1` the scenario's own stream is also served through that
 /// many isolated server slots across `threads` workers. `Err` is a
 /// divergence report (the CI soak uploads it as an artifact).
 pub fn run_verb(
@@ -415,7 +448,8 @@ pub fn run_verb(
     sessions: usize,
     threads: usize,
 ) -> Result<String, String> {
-    let samples = schedule_for(scenario, multiple)?;
+    let stream = schedule_for(scenario, multiple)?;
+    let samples = proof_stream(&stream);
     let base = replay(seed, &samples, None)?;
     let mut out = String::new();
     out.push_str(&format!(
@@ -430,25 +464,20 @@ pub fn run_verb(
         base.final_digest,
         base.trace.len()
     ));
-    if base.checkpoints.len() >= 2 {
-        let mid = base.checkpoints.len() / 2;
-        let proof = verify_boundary(seed, &samples, &base, mid)?;
-        out.push_str(&format!("serve: kill/resume {proof}\n"));
-    } else if scenario == REPLAY_SCENARIO {
-        // The canonical scenario always spans several checkpoints; fewer
-        // is a regression, not a short stream.
+    // The proof stream runs to the goal deadline, so it always spans
+    // several checkpoints; fewer is a regression.
+    if base.checkpoints.len() < 2 {
         return Err(format!(
             "serve: expected several checkpoints, got {}",
             base.checkpoints.len()
         ));
-    } else {
-        out.push_str(&format!(
-            "serve: stream too short for a kill/resume proof ({} checkpoints)\n",
-            base.checkpoints.len()
-        ));
     }
+    let resumed = replay_resume(seed, &samples, &base)?;
+    let mid = base.checkpoints.len() / 2;
+    let proof = verify_boundary(seed, &samples, &base, &resumed, mid)?;
+    out.push_str(&format!("serve: kill/resume {proof}\n"));
     if sessions > 1 {
-        for line in run_sessions(seed, &samples, sessions, threads)? {
+        for line in run_sessions(seed, &stream, sessions, threads)? {
             out.push_str(&format!("serve: {line}\n"));
         }
     }
@@ -491,10 +520,12 @@ mod tests {
     }
 
     /// The verb's single mid-run kill/resume proof passes end to end,
-    /// covering both the replay and the snapshot resume path.
+    /// covering both the replay and the snapshot resume path, and kills
+    /// at its own mid-run checkpoint (the fifth, at 900 s).
     #[test]
     fn verb_kill_resume_proof_passes() {
         let out = run_verb(GOLDEN_SEED, 1, REPLAY_SCENARIO, 1, 1).expect("kill/resume proof");
+        assert!(out.contains("boundary 4: salvage t=900s"), "{out}");
         assert!(out.contains("replay+snapshot resume OK"), "{out}");
     }
 

@@ -50,6 +50,15 @@ const ODYSSEY_FRAC: f64 = 0.05;
 /// requests.
 const DISK_KERNEL_FRAC: f64 = 0.05;
 
+/// How the CPU's occupancy splits at one instant; the four fractions
+/// sum to 1. Both the power model's load and the energy shares read it.
+struct CpuFractions {
+    int_frac: f64,
+    ody_frac: f64,
+    kern_frac: f64,
+    main_frac: f64,
+}
+
 /// Scales a work duration by the warden's datapath clamp.
 fn scale_duration(d: SimDuration, clamp: f64) -> SimDuration {
     if clamp >= 1.0 {
@@ -81,14 +90,14 @@ impl Pid {
 }
 
 /// Machine configuration.
+///
+/// The platform is always the ThinkPad 560X
+/// ([`PlatformSpec::thinkpad_560x`]) on a 2 Mb/s WaveLAN link
+/// ([`WAVELAN_CAPACITY_BPS`]).
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
-    /// Platform power model parameters.
-    pub spec: PlatformSpec,
     /// Hardware power-management policy.
     pub pm: PmPolicy,
-    /// Wireless link capacity, bits per second.
-    pub link_bps: f64,
     /// Energy supply.
     pub source: EnergySource,
     /// Constant power drawn by energy monitoring itself, W (Section
@@ -103,9 +112,7 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
-            spec: PlatformSpec::thinkpad_560x(),
             pm: PmPolicy::enabled(),
-            link_bps: WAVELAN_CAPACITY_BPS,
             source: EnergySource::External,
             monitor_overhead_w: 0.0,
             faults: FaultConfig::clean(),
@@ -737,10 +744,10 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     /// Creates a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        let power = PlatformPower::new(cfg.spec.clone());
-        let disk = DiskModel::new(cfg.pm.disk_policy(), cfg.spec.disk_spinup_time);
+        let power = PlatformPower::new(PlatformSpec::thinkpad_560x());
+        let disk = DiskModel::new(cfg.pm.disk_policy(), power.spec().disk_spinup_time);
         let radio = RadioModel::new(cfg.pm.radio_policy());
-        let link = SharedLink::new(cfg.link_bps);
+        let link = SharedLink::new(WAVELAN_CAPACITY_BPS);
         let link_faults = cfg
             .faults
             .link
@@ -790,6 +797,11 @@ impl Machine {
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.link.set_trace(trace.clone());
         self.trace = Some(trace);
+    }
+
+    /// The simtrace handle attached with [`Machine::set_trace`], if any.
+    pub fn trace(&self) -> Option<&TraceHandle> {
+        self.trace.as_ref()
     }
 
     /// Opens the directive outbox: from now on every control-plane
@@ -982,24 +994,9 @@ impl Machine {
 
     // ---- Energy integration -------------------------------------------
 
-    fn device_states(&self) -> (DeviceStates, f64) {
-        let cpu_load = self.fill_share_buf_load();
-        (
-            DeviceStates {
-                display: self.display_state(),
-                disk: self.disk.state(),
-                radio: self.radio.state(),
-                cpu_load,
-            },
-            cpu_load,
-        )
-    }
-
-    /// Populates `share_buf` and returns the effective CPU load.
-    fn fill_share_buf_load(&self) -> f64 {
-        // `share_buf` is logically mutable scratch; interior mutation is
-        // routed through `advance_to`, which owns `&mut self`. Here we only
-        // compute the load; the share vector is built in `advance_to`.
+    /// Splits the CPU between interrupt handling, the Odyssey datapath,
+    /// disk kernel work and the running job, for the current instant.
+    fn cpu_fractions(&self) -> CpuFractions {
         let transfers = self.link.active_count();
         let int_frac = if transfers > 0 {
             (INT_FRAC_PER_TRANSFER * transfers as f64).min(INT_FRAC_CAP)
@@ -1009,10 +1006,20 @@ impl Machine {
         let ody_frac = if transfers > 0 { ODYSSEY_FRAC } else { 0.0 };
         let disk_busy = matches!(self.disk.state(), DiskState::Active | DiskState::SpinningUp);
         let kern_frac = if disk_busy { DISK_KERNEL_FRAC } else { 0.0 };
-        let main_frac = 1.0 - int_frac - ody_frac - kern_frac;
-        let mut load = int_frac * intensity::KERNEL_INTERRUPT
-            + ody_frac * intensity::ODYSSEY
-            + kern_frac * intensity::KERNEL_INTERRUPT;
+        CpuFractions {
+            int_frac,
+            ody_frac,
+            kern_frac,
+            main_frac: 1.0 - int_frac - ody_frac - kern_frac,
+        }
+    }
+
+    /// Device states for the power model, with the effective CPU load
+    /// those fractions produce.
+    fn device_states(&self, f: &CpuFractions) -> DeviceStates {
+        let mut load = f.int_frac * intensity::KERNEL_INTERRUPT
+            + f.ody_frac * intensity::ODYSSEY
+            + f.kern_frac * intensity::KERNEL_INTERRUPT;
         if let Some((src, _)) = self.current {
             let job_intensity = match src {
                 Source::Proc(pid) => match &self.procs[pid.0].state {
@@ -1021,23 +1028,20 @@ impl Machine {
                 },
                 Source::XServer => self.x_queue.front().map(|j| j.intensity).unwrap_or(0.0),
             };
-            load += main_frac * job_intensity;
+            load += f.main_frac * job_intensity;
         }
-        load
+        DeviceStates {
+            display: self.display_state(),
+            disk: self.disk.state(),
+            radio: self.radio.state(),
+            cpu_load: load,
+        }
     }
 
-    fn build_shares(&mut self) {
+    /// Rebuilds `share_buf`: who the CPU share of this interval's energy
+    /// is billed to, by bucket and procedure.
+    fn build_shares(&mut self, f: &CpuFractions) {
         self.share_buf.clear();
-        let transfers = self.link.active_count();
-        let int_frac = if transfers > 0 {
-            (INT_FRAC_PER_TRANSFER * transfers as f64).min(INT_FRAC_CAP)
-        } else {
-            0.0
-        };
-        let ody_frac = if transfers > 0 { ODYSSEY_FRAC } else { 0.0 };
-        let disk_busy = matches!(self.disk.state(), DiskState::Active | DiskState::SpinningUp);
-        let kern_frac = if disk_busy { DISK_KERNEL_FRAC } else { 0.0 };
-        let main_frac = 1.0 - int_frac - ody_frac - kern_frac;
         match self.current {
             Some((Source::Proc(pid), _)) => {
                 let p = &self.procs[pid.0];
@@ -1050,39 +1054,39 @@ impl Machine {
                 self.share_buf.push(ShareEntry {
                     bucket,
                     procedure,
-                    fraction: main_frac,
+                    fraction: f.main_frac,
                 });
             }
             Some((Source::XServer, _)) => self.share_buf.push(ShareEntry {
                 bucket: BUCKET_X,
                 procedure: "render",
-                fraction: main_frac,
+                fraction: f.main_frac,
             }),
             None => self.share_buf.push(ShareEntry {
                 bucket: BUCKET_IDLE,
                 procedure: "idle_hlt",
-                fraction: main_frac,
+                fraction: f.main_frac,
             }),
         }
-        if int_frac > 0.0 {
+        if f.int_frac > 0.0 {
             self.share_buf.push(ShareEntry {
                 bucket: BUCKET_WAVELAN,
                 procedure: "wavelan_intr",
-                fraction: int_frac,
+                fraction: f.int_frac,
             });
         }
-        if ody_frac > 0.0 {
+        if f.ody_frac > 0.0 {
             self.share_buf.push(ShareEntry {
                 bucket: BUCKET_ODYSSEY,
                 procedure: "viceroy_datapath",
-                fraction: ody_frac,
+                fraction: f.ody_frac,
             });
         }
-        if kern_frac > 0.0 {
+        if f.kern_frac > 0.0 {
             self.share_buf.push(ShareEntry {
                 bucket: BUCKET_KERNEL,
                 procedure: "disk_intr",
-                fraction: kern_frac,
+                fraction: f.kern_frac,
             });
         }
     }
@@ -1108,8 +1112,9 @@ impl Machine {
         if t <= self.clock {
             return;
         }
-        let (states, _) = self.device_states();
-        self.build_shares();
+        let fractions = self.cpu_fractions();
+        let states = self.device_states(&fractions);
+        self.build_shares(&fractions);
         let mut breakdown = self.power.breakdown(&states);
         // Monitoring hardware draws a constant trickle, booked as base.
         breakdown.base_w += self.cfg.monitor_overhead_w;
@@ -1351,7 +1356,7 @@ impl Machine {
     }
 
     fn disk_transfer_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.cfg.spec.disk_rate_bps)
+        SimDuration::from_secs_f64(bytes as f64 / self.power.spec().disk_rate_bps)
             .max(SimDuration::from_micros(100))
     }
 

@@ -90,38 +90,29 @@ pub struct GoalConfig {
 ///   that rides `demand == supply` exactly exhausts the battery moments
 ///   before the deadline → a **budget reserve** is withheld from the
 ///   supply estimate, leaving headroom for estimation lag.
+///
+/// The thresholds are sized to the ThinkPad 560X platform.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Hardening {
+pub struct Hardening;
+
+impl Hardening {
     /// Skip decisions when the newest accepted power sample is older
-    /// than this.
-    pub stale_after: SimDuration,
-    /// Physical power envelope `[min, max]` W; accepted samples are
-    /// clamped into it before smoothing.
-    pub power_clamp_w: (f64, f64),
-    /// Consecutive deficit decisions required before degrading.
-    pub degrade_persistence: usize,
-    /// Cross-check the gauge against metered consumption, taking the
-    /// more pessimistic of the two supply estimates.
-    pub use_energy_cross_check: bool,
+    /// than this: 2 s, i.e. 20 samples.
+    const STALE_AFTER: SimDuration = SimDuration::from_secs(2);
+    /// Physical power envelope `[min, max]` W, bracketing the platform's
+    /// 3.47 W floor and ~20 W worst case; accepted samples are clamped
+    /// into it before smoothing.
+    const POWER_CLAMP_W: (f64, f64) = (1.0, 30.0);
+    /// Consecutive deficit decisions required before degrading (1 s).
+    const DEGRADE_PERSISTENCE: usize = 2;
     /// Fraction of the *initial* energy withheld as a constant reserve
     /// against demand-estimation lag. A proportional reserve would decay
     /// with the supply and stop protecting exactly when exhaustion nears.
-    pub reserve_frac: f64,
-}
+    const RESERVE_FRAC: f64 = 0.05;
 
-impl Hardening {
-    /// Defaults sized to the ThinkPad 560X platform: 2 s staleness bound
-    /// (20 samples), a 1–30 W envelope bracketing the platform's 3.47 W
-    /// floor and ~20 W worst case, 2-decision degrade persistence (1 s),
-    /// the energy cross-check on, and a 5% budget reserve.
+    /// The hardened controller's measures, as listed above.
     pub fn standard() -> Self {
-        Hardening {
-            stale_after: SimDuration::from_secs(2),
-            power_clamp_w: (1.0, 30.0),
-            degrade_persistence: 2,
-            use_energy_cross_check: true,
-            reserve_frac: 0.05,
-        }
+        Hardening
     }
 }
 
@@ -405,18 +396,17 @@ impl GoalController {
     /// energy value minus everything the on-line meter has seen consumed,
     /// then withholds the budget reserve from the result.
     fn estimate_supply(&mut self, gauge_j: f64) -> f64 {
-        let Some(h) = self.cfg.hardening else {
+        if self.cfg.hardening.is_none() {
             return gauge_j;
-        };
+        }
         if gauge_j.is_finite() {
             self.supply_floor = self.supply_floor.min(gauge_j);
         }
-        let mut supply = self.supply_floor;
-        if h.use_energy_cross_check {
-            supply = supply.min((self.cfg.initial_energy_j - self.last_metered_j).max(0.0));
-        }
+        let mut supply = self
+            .supply_floor
+            .min((self.cfg.initial_energy_j - self.last_metered_j).max(0.0));
         if supply.is_finite() {
-            supply = (supply - h.reserve_frac * self.cfg.initial_energy_j).max(0.0);
+            supply = (supply - Hardening::RESERVE_FRAC * self.cfg.initial_energy_j).max(0.0);
         }
         supply
     }
@@ -425,10 +415,10 @@ impl GoalController {
         let Some(power) = self.smoother.value() else {
             return;
         };
-        if let Some(h) = self.cfg.hardening {
+        if self.cfg.hardening.is_some() {
             let fresh = self
                 .last_sample_at
-                .is_some_and(|t| now.saturating_since(t) <= h.stale_after);
+                .is_some_and(|t| now.saturating_since(t) <= Hardening::STALE_AFTER);
             if !fresh {
                 // The power estimate is fiction; don't act on it.
                 self.shared.borrow_mut().stale_decisions += 1;
@@ -450,10 +440,9 @@ impl GoalController {
         let procs = view.processes();
         if demand > supply {
             self.deficit_streak += 1;
-            if let Some(h) = self.cfg.hardening {
-                if self.deficit_streak < h.degrade_persistence {
-                    return;
-                }
+            if self.cfg.hardening.is_some() && self.deficit_streak < Hardening::DEGRADE_PERSISTENCE
+            {
+                return;
             }
             for pid in self.priorities.degrade_order() {
                 let info = procs[pid.index()];
@@ -603,9 +592,10 @@ impl ControlHook for GoalController {
             Some(metered) => {
                 self.last_metered_j = metered;
                 if let Some(mut p) = self.meter.update(now, metered) {
-                    if let Some(h) = self.cfg.hardening {
+                    if self.cfg.hardening.is_some() {
                         let raw = p;
-                        p = p.clamp(h.power_clamp_w.0, h.power_clamp_w.1);
+                        let (lo, hi) = Hardening::POWER_CLAMP_W;
+                        p = p.clamp(lo, hi);
                         #[expect(
                             clippy::float_cmp,
                             reason = "asks whether clamp moved the value at all"

@@ -47,6 +47,6 @@ pub use expectation::{Expectation, ExpectationRegistry, Resource, WindowEvent};
 pub use fidelity::{FidelityLevel, FidelitySpace};
 pub use goal::{GoalConfig, GoalController, GoalHandle, GoalOutcome, Hardening};
 pub use priority::PriorityTable;
-pub use supervisor::{Supervisor, SupervisorConfig, SupervisorHandle, SupervisorStats};
+pub use supervisor::{Supervisor, SupervisorHandle, SupervisorStats};
 pub use viceroy::{BandwidthMonitor, Viceroy};
 pub use warden::{Warden, WardenRegistry};

@@ -42,68 +42,6 @@ use simcore::{SimDuration, SimTime, TraceEvent};
 use crate::demand::DemandLedger;
 use crate::goal::GoalHandle;
 
-/// Supervisor tuning knobs.
-#[derive(Clone, Debug)]
-pub struct SupervisorConfig {
-    /// Supervision period (also the hook period to attach at).
-    pub period: SimDuration,
-    /// No detections before this instant: the attribution feed needs a
-    /// few windows before its power estimates mean anything.
-    pub warmup: SimDuration,
-    /// An app that has not polled for this long while drawing power is
-    /// hung. Must exceed the longest honest CPU burst any workload emits.
-    pub watchdog: SimDuration,
-    /// Minimum attributed power, W, for hang and overdraw detection — a
-    /// blocked app attributes ~0 W and must never strike.
-    pub hang_power_w: f64,
-    /// Overdraw threshold: strike when attributed power exceeds declared
-    /// power at the claimed level times this factor.
-    pub overdraw_factor: f64,
-    /// Grace period after a claimed fidelity change before the overdraw
-    /// cross-check resumes: the smoothed attribution of an honestly
-    /// degrading app lags its level change by a few windows.
-    pub response_window: SimDuration,
-    /// Datapath clamp applied on the second strike.
-    pub clamp_factor: f64,
-    /// Strikes before quarantine.
-    pub quarantine_after: u32,
-    /// Clean ticks before one strike is forgiven (keeps rare false
-    /// positives from ratcheting an honest app to quarantine).
-    pub forgive_after: u32,
-    /// Quarantine cooldown before a restart is attempted.
-    pub restart_after: SimDuration,
-    /// Restarts granted per app before it is retired for good.
-    pub max_restarts: u32,
-}
-
-impl SupervisorConfig {
-    /// Defaults sized for the paper's applications: a 30 s watchdog
-    /// clears the longest honest speech-recognition burst, and the 1 W
-    /// power gate clears every blocked state (a waiting app attributes
-    /// think-time to Idle and reads near zero).
-    pub fn standard() -> Self {
-        SupervisorConfig {
-            period: SimDuration::from_secs(1),
-            warmup: SimDuration::from_secs(30),
-            watchdog: SimDuration::from_secs(30),
-            hang_power_w: 1.0,
-            overdraw_factor: 1.6,
-            response_window: SimDuration::from_secs(10),
-            clamp_factor: 0.5,
-            quarantine_after: 3,
-            forgive_after: 10,
-            restart_after: SimDuration::from_secs(60),
-            max_restarts: 1,
-        }
-    }
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig::standard()
-    }
-}
-
 /// Counters the supervisor accumulates over a run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SupervisorStats {
@@ -213,10 +151,9 @@ struct AppState {
 }
 
 /// The supervisor; attach with [`machine::Machine::add_hook`] at
-/// [`SupervisorConfig::period`], after registering each watched app with
+/// [`Supervisor::PERIOD`], after registering each watched app with
 /// [`Supervisor::watch`].
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     apps: Vec<AppState>,
     feed: AttributionFeed,
     goal: Option<GoalHandle>,
@@ -229,17 +166,46 @@ impl std::fmt::Debug for Supervisor {
     }
 }
 
+// The thresholds are sized for the paper's applications: a 30 s
+// watchdog clears the longest honest speech-recognition burst, and the
+// 1 W power gate clears every blocked state (a waiting app attributes
+// think-time to Idle and reads near zero).
 impl Supervisor {
+    /// Supervision period: the hook period to attach the supervisor at.
+    pub const PERIOD: SimDuration = SimDuration::from_secs(1);
+    /// No detections before this instant: the attribution feed needs a
+    /// few windows before its power estimates mean anything.
+    const WARMUP: SimDuration = SimDuration::from_secs(30);
+    /// An app that has not polled for this long while drawing power is
+    /// hung. Must exceed the longest honest CPU burst any workload emits.
+    const WATCHDOG: SimDuration = SimDuration::from_secs(30);
+    /// Minimum attributed power, W, for hang and overdraw detection — a
+    /// blocked app attributes ~0 W and must never strike.
+    const HANG_POWER_W: f64 = 1.0;
+    /// Overdraw threshold: strike when attributed power exceeds declared
+    /// power at the claimed level times this factor (at least 1, or
+    /// honest apps strike).
+    const OVERDRAW_FACTOR: f64 = 1.6;
+    /// Grace period after a claimed fidelity change before the overdraw
+    /// cross-check resumes: the smoothed attribution of an honestly
+    /// degrading app lags its level change by a few windows.
+    const RESPONSE_WINDOW: SimDuration = SimDuration::from_secs(10);
+    /// Datapath clamp applied on the second strike.
+    const CLAMP_FACTOR: f64 = 0.5;
+    /// Strikes before quarantine.
+    const QUARANTINE_AFTER: u32 = 3;
+    /// Clean ticks before one strike is forgiven (keeps rare false
+    /// positives from ratcheting an honest app to quarantine).
+    const FORGIVE_AFTER: u32 = 10;
+    /// Quarantine cooldown before a restart is attempted.
+    const RESTART_AFTER: SimDuration = SimDuration::from_secs(60);
+    /// Restarts granted per app before it is retired for good.
+    const MAX_RESTARTS: u32 = 1;
+
     /// Creates a supervisor and its inspection handle.
-    pub fn new(cfg: SupervisorConfig) -> (SupervisorHandle, Box<Supervisor>) {
-        assert!(!cfg.period.is_zero(), "supervision period must be positive");
-        assert!(
-            cfg.overdraw_factor >= 1.0,
-            "overdraw factor below 1 strikes honest apps"
-        );
+    pub fn new() -> (SupervisorHandle, Box<Supervisor>) {
         let inner = Rc::new(RefCell::new(Inner::default()));
         let s = Supervisor {
-            cfg,
             apps: Vec::new(),
             feed: AttributionFeed::new(),
             goal: None,
@@ -285,7 +251,7 @@ impl Supervisor {
             inner.stats.crash_releases += 1;
             inner.stats.redistributed_w += freed;
         }
-        let retired = if app.restarts < self.cfg.max_restarts {
+        let retired = if app.restarts < Self::MAX_RESTARTS {
             app.phase = Phase::Quarantined { since: now };
             false
         } else {
@@ -369,9 +335,9 @@ impl Supervisor {
                 pid: pid.index() as u64,
                 rung: "clamp",
             });
-            view.set_datapath_clamp(pid, self.cfg.clamp_factor);
+            view.set_datapath_clamp(pid, Self::CLAMP_FACTOR);
             self.apps[app_i].phase = Phase::Clamped;
-        } else if strikes >= self.cfg.quarantine_after && view.suspend(pid) {
+        } else if strikes >= Self::QUARANTINE_AFTER && view.suspend(pid) {
             inner.stats.quarantines += 1;
             if let Some(freed) = inner.ledger.release(pid.index()) {
                 inner.stats.redistributed_w += freed;
@@ -537,8 +503,8 @@ impl ControlHook for Supervisor {
             match self.apps[i].phase {
                 Phase::Retired => continue,
                 Phase::Quarantined { since } => {
-                    if self.apps[i].restarts < self.cfg.max_restarts
-                        && now.saturating_since(since) >= self.cfg.restart_after
+                    if self.apps[i].restarts < Self::MAX_RESTARTS
+                        && now.saturating_since(since) >= Self::RESTART_AFTER
                     {
                         self.try_restart(i, view);
                     }
@@ -546,7 +512,7 @@ impl ControlHook for Supervisor {
                 }
                 Phase::Healthy | Phase::Clamped => {}
             }
-            if info.done || now < SimTime::ZERO + self.cfg.warmup {
+            if info.done || now < SimTime::ZERO + Self::WARMUP {
                 continue;
             }
 
@@ -557,7 +523,7 @@ impl ControlHook for Supervisor {
 
                 // Hang: silent on the poll interface, loud on the meter.
                 let since_poll = now.saturating_since(view.last_poll_at(pid));
-                if since_poll > self.cfg.watchdog && power > self.cfg.hang_power_w {
+                if since_poll > Self::WATCHDOG && power > Self::HANG_POWER_W {
                     inner.stats.hang_strikes += 1;
                     strike = true;
                     view.emit_trace(TraceEvent::SupervisorStrike {
@@ -595,11 +561,11 @@ impl ControlHook for Supervisor {
                     inner.ledger.set_claimed_level(pid.index(), level);
                 }
                 let settled =
-                    now.saturating_since(self.apps[i].level_changed_at) >= self.cfg.response_window;
+                    now.saturating_since(self.apps[i].level_changed_at) >= Self::RESPONSE_WINDOW;
                 if let Some(declared) = inner.ledger.declared_w(pid.index()) {
                     if settled
-                        && power > declared * self.cfg.overdraw_factor
-                        && power > self.cfg.hang_power_w
+                        && power > declared * Self::OVERDRAW_FACTOR
+                        && power > Self::HANG_POWER_W
                     {
                         inner.stats.overdraw_strikes += 1;
                         // Demand accounting: name the procedure the
@@ -631,7 +597,7 @@ impl ControlHook for Supervisor {
                 }
                 if app.strikes > 0 {
                     app.clean_ticks += 1;
-                    if app.clean_ticks >= self.cfg.forgive_after {
+                    if app.clean_ticks >= Self::FORGIVE_AFTER {
                         app.strikes -= 1;
                         app.clean_ticks = 0;
                     }
@@ -701,13 +667,11 @@ mod tests {
             horizon: SimTime::from_secs(horizon_s),
             restarted: false,
         }));
-        let cfg = SupervisorConfig::standard();
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         // Generous declaration: the spin never overdraws it, so the
         // watchdog is the only detector that can fire.
         sup.watch(pid, vec![25.0, 50.0], 1);
-        m.add_hook(period, sup);
+        m.add_hook(Supervisor::PERIOD, sup);
         (m, handle)
     }
 
@@ -736,11 +700,9 @@ mod tests {
             "calm",
             SimDuration::from_secs(200),
         )));
-        let cfg = SupervisorConfig::standard();
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(pid, vec![1.0], 0);
-        m.add_hook(period, sup);
+        m.add_hook(Supervisor::PERIOD, sup);
         m.run_until(SimTime::from_secs(300));
         let stats = handle.stats();
         assert_eq!(stats.hang_strikes, 0, "{stats:?}");
@@ -765,20 +727,24 @@ mod tests {
         )));
         let _keepalive = m.add_process(Box::new(ScriptedWorkload::idle_for(
             "bg",
-            SimDuration::from_secs(120),
+            SimDuration::from_secs(200),
         )));
-        let cfg = SupervisorConfig {
-            max_restarts: 0,
-            ..SupervisorConfig::standard()
-        };
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(pid, vec![2.5], 0);
-        m.add_hook(period, sup);
+        m.add_hook(Supervisor::PERIOD, sup);
+        // Collected as a crash at ~10 s, then quarantined for the restart
+        // cooldown: its declaration is gone but it is not yet retired.
         m.run_until(SimTime::from_secs(60));
         let stats = handle.stats();
         assert_eq!(stats.crash_releases, 1);
         assert!((stats.redistributed_w - 2.5).abs() < 1e-12);
+        assert_eq!(stats.retired, 0);
+        // Past the cooldown the restart is attempted; ScriptedWorkload
+        // refuses it, so the app is retired for good.
+        m.run_until(SimTime::from_secs(120));
+        let stats = handle.stats();
+        assert_eq!(stats.crash_releases, 1);
+        assert_eq!(stats.restarts, 0);
         assert_eq!(stats.retired, 1);
         assert!(!handle.ledger().is_active(pid.index()));
         assert_eq!(handle.total_declared_w(), 0.0);
@@ -800,11 +766,9 @@ mod tests {
             })
             .collect();
         let pid = m.add_process(Box::new(ScriptedWorkload::new("liar", script)));
-        let cfg = SupervisorConfig::standard();
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(pid, vec![0.1], 0);
-        m.add_hook(period, sup);
+        m.add_hook(Supervisor::PERIOD, sup);
         m.run_until(SimTime::from_secs(120));
         let stats = handle.stats();
         assert!(stats.overdraw_strikes >= 3, "{stats:?}");

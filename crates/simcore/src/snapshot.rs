@@ -7,8 +7,8 @@
 //! replaying the same configuration up to the checkpoint time, asserting
 //! that the digest matches (catching any nondeterminism or drifted code),
 //! and then continuing. The [`RunJournal`] records those proof points
-//! every N simulated seconds; the [`Snapshot`] trait folds a component's
-//! live state into a [`SnapshotHasher`].
+//! every N simulated seconds; each component folds its live state into a
+//! [`SnapshotHasher`].
 //!
 //! The digest is a 64-bit FNV-1a/splitmix chain over the raw bits of the
 //! state (floats via `to_bits`), so two states digest equal iff they are
@@ -94,11 +94,6 @@ impl SnapshotWriter {
 
     /// Appends a word.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a 32-bit word.
-    pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -264,18 +259,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Reads a 32-bit word.
-    pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        let bytes = self
-            .payload
-            .get(self.pos..self.pos + 4)
-            .ok_or(SnapshotError::Truncated)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(bytes);
-        self.pos += 4;
-        Ok(u32::from_le_bytes(b))
-    }
-
     /// Reads a float by bit pattern.
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.take_u64()?))
@@ -431,92 +414,6 @@ impl SnapshotHasher {
 impl Default for SnapshotHasher {
     fn default() -> Self {
         SnapshotHasher::new()
-    }
-}
-
-/// State that can be folded into a checkpoint digest.
-///
-/// Implementations must visit every field that influences future
-/// behavior, in a fixed order; two components snapshot equal iff their
-/// observable future evolution is identical.
-pub trait Snapshot {
-    /// Folds this component's live state into the hasher.
-    fn snapshot(&self, h: &mut SnapshotHasher);
-}
-
-impl Snapshot for u64 {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self);
-    }
-}
-
-impl Snapshot for u32 {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
-impl Snapshot for usize {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
-impl Snapshot for bool {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
-impl Snapshot for f64 {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_f64(*self);
-    }
-}
-
-impl Snapshot for SimTime {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.as_micros());
-    }
-}
-
-impl Snapshot for SimDuration {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.as_micros());
-    }
-}
-
-impl Snapshot for str {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.len() as u64);
-        h.write_bytes(self.as_bytes());
-    }
-}
-
-impl<T: Snapshot> Snapshot for Option<T> {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        match self {
-            None => h.write_u64(0),
-            Some(v) => {
-                h.write_u64(1);
-                v.snapshot(h);
-            }
-        }
-    }
-}
-
-impl<T: Snapshot> Snapshot for [T] {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.len() as u64);
-        for v in self {
-            v.snapshot(h);
-        }
-    }
-}
-
-impl<T: Snapshot> Snapshot for Vec<T> {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        self.as_slice().snapshot(h);
     }
 }
 
@@ -684,20 +581,9 @@ mod tests {
         for h in [&mut a, &mut b] {
             h.write_u64(42);
             h.write_f64(-0.5);
-            "speech".snapshot(h);
-            Some(7u64).snapshot(h);
-            vec![1u64, 2, 3].snapshot(h);
+            h.write_bytes(b"speech");
         }
         assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn option_none_differs_from_some_zero() {
-        let mut a = SnapshotHasher::new();
-        let mut b = SnapshotHasher::new();
-        Option::<u64>::None.snapshot(&mut a);
-        Some(0u64).snapshot(&mut b);
-        assert_ne!(a.finish(), b.finish());
     }
 
     #[test]

@@ -33,15 +33,15 @@
 //!
 //! The chunk plan is computed **up front** by [`plan_chunks`]: a guided
 //! schedule of geometrically shrinking index ranges (each chunk takes
-//! `remaining / (2 * workers)` items, floored at the grain), so early
-//! chunks amortize claim overhead while late chunks stay small enough
-//! to balance skewed job costs. Workers claim whole chunks off a single
+//! `remaining / (2 * workers)` items, at least one), so early chunks
+//! amortize claim overhead while late chunks shrink to single items and
+//! balance skewed job costs. Workers claim whole chunks off a single
 //! `AtomicUsize` chunk cursor — one atomic op per chunk, not per item —
 //! and write results into pre-allocated per-worker run buffers, so
 //! there is no per-item mutex and no shared sink to contend on. Which
 //! worker claims which chunk is scheduler-dependent; the chunk
 //! *boundaries* and the merged output are pure functions of
-//! `(n, workers, grain)`.
+//! `(n, workers)`.
 //!
 //! Sizing chunks by item *count* assumes items cost about the same. When
 //! a caller knows they do not, [`map_costed_stats`] takes a static
@@ -50,7 +50,7 @@
 //! expensive items at the front is split across workers rather than
 //! handed to one. It is the same planner: unit costs reproduce
 //! [`plan_chunks`] exactly, and the plan stays a pure function of
-//! `(costs, workers, grain)`.
+//! `(costs, workers)`.
 //!
 //! The [`PoolStats`] surface (and the process-wide [`telemetry`]
 //! counters behind the `bench` verb's per-record metadata) reports what
@@ -80,7 +80,7 @@
 //!
 //! // A cost hint splits a heavy prefix across workers.
 //! let costs = [60, 60, 60, 60, 1, 1, 1, 1];
-//! let (out, stats) = simpar::map_costed_stats(&cfg.grain(1), &costs, |&c| c, |_, &c| c * 2);
+//! let (out, stats) = simpar::map_costed_stats(&cfg, &costs, |&c| c, |_, &c| c * 2);
 //! assert_eq!(out, costs.iter().map(|c| c * 2).collect::<Vec<_>>());
 //! assert_eq!(stats.plan[0], simpar::Chunk { start: 0, len: 1 });
 //! ```
@@ -89,15 +89,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Chunks-per-worker target of the guided schedule: each claim takes
-/// `remaining / (CHUNK_DIVISOR * workers)` items (floored at the
-/// grain), giving every worker several shrinking chunks to self-balance
-/// across skewed job costs.
+/// `remaining / (CHUNK_DIVISOR * workers)` items (at least one),
+/// giving every worker several shrinking chunks to self-balance across
+/// skewed job costs.
 const CHUNK_DIVISOR: usize = 2;
-
-/// Default grain denominator: the automatic minimum chunk size is
-/// `n / (workers * GRAIN_CHUNKS_PER_WORKER)`, i.e. the tail of the
-/// guided schedule leaves each worker up to ~8 small chunks.
-const GRAIN_CHUNKS_PER_WORKER: usize = 8;
 
 /// Worker threads to use by default: the machine's available parallelism
 /// (1 when it cannot be determined).
@@ -129,14 +124,11 @@ pub struct Chunk {
 /// ([`run`], [`map_indexed_stats`], [`map_stats`]).
 ///
 /// The convenience wrappers [`map_indexed`] and [`map`] use
-/// `PoolConfig::new(threads)` — automatic grain, host parallelism.
+/// `PoolConfig::new(threads)` — host parallelism.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
     /// Requested worker threads (0 is clamped to 1).
     pub threads: usize,
-    /// Minimum chunk size; `None` picks [`auto_grain`] from the item
-    /// and worker counts. `Some(0)` is treated as `Some(1)`.
-    pub grain: Option<usize>,
     /// Hardware-parallelism assumption; `None` reads the host's
     /// [`available_threads`]. Tests (and benchmarks of the scheduler
     /// itself) override this to force the spawning path on small hosts
@@ -145,19 +137,12 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A configuration with automatic grain and host parallelism.
+    /// A configuration with host parallelism.
     pub fn new(threads: usize) -> Self {
         PoolConfig {
             threads,
-            grain: None,
             assume_parallelism: None,
         }
-    }
-
-    /// Overrides the minimum chunk size.
-    pub fn grain(mut self, grain: usize) -> Self {
-        self.grain = Some(grain);
-        self
     }
 
     /// Overrides the hardware-parallelism assumption.
@@ -184,9 +169,6 @@ pub struct PoolStats {
     pub assumed_parallelism: usize,
     /// True when the jobs ran inline on the caller's thread.
     pub inline: bool,
-    /// Minimum chunk size the plan was built with (items, ≥ 1; equals
-    /// `items.max(1)` on the inline path, where the plan is one chunk).
-    pub grain: usize,
     /// The chunk plan: disjoint, contiguous, in index order (the
     /// invariant tests pin that it partitions `0..items` exactly).
     pub plan: Vec<Chunk>,
@@ -205,40 +187,31 @@ impl PoolStats {
     }
 }
 
-/// The automatic minimum chunk size for `n` items on `workers` workers:
-/// large enough that the guided tail does not degenerate into per-item
-/// claims on big inputs, small enough that every worker still sees
-/// several chunks (`n / (workers * 8)`, floored at 1).
-pub fn auto_grain(n: usize, workers: usize) -> usize {
-    (n / (workers.max(1) * GRAIN_CHUNKS_PER_WORKER)).max(1)
-}
-
 /// Builds the guided chunk plan for `n` unit-cost items on `workers`
-/// workers with minimum chunk size `grain`: each successive chunk takes
-/// `remaining / (2 * workers)` items, floored at `grain`, capped at the
-/// remainder. This is [`plan_chunks_by_cost`] with every cost 1.
-pub fn plan_chunks(n: usize, workers: usize, grain: usize) -> Vec<Chunk> {
-    plan(n, workers, grain, |_| 1)
+/// workers: each successive chunk takes `remaining / (2 * workers)`
+/// items, at least one, capped at the remainder. This is
+/// [`plan_chunks_by_cost`] with every cost 1.
+pub fn plan_chunks(n: usize, workers: usize) -> Vec<Chunk> {
+    plan(n, workers, |_| 1)
 }
 
 /// Builds the cost-aware guided chunk plan: item `i` costs `costs[i]`
 /// (a relative hint; 0 counts as 1), and each successive chunk takes
 /// the longest run of items whose summed cost stays within
-/// `remaining_cost / (2 * workers)` — at least one item, floored at
-/// `grain`, capped at the remainder. With unit costs this is exactly
+/// `remaining_cost / (2 * workers)` — at least one item, capped at the
+/// remainder. With unit costs this is exactly
 /// [`plan_chunks`]; with skewed costs the expensive items no longer
 /// share one count-sized first chunk. The plan is a pure function of
 /// its arguments; the invariant tests pin that it partitions `0..n`
 /// exactly (no overlap, no gap) for adversarial shapes.
-pub fn plan_chunks_by_cost(costs: &[u64], workers: usize, grain: usize) -> Vec<Chunk> {
-    plan(costs.len(), workers, grain, |i| costs[i])
+pub fn plan_chunks_by_cost(costs: &[u64], workers: usize) -> Vec<Chunk> {
+    plan(costs.len(), workers, |i| costs[i])
 }
 
 /// The one planner behind [`plan_chunks`] and [`plan_chunks_by_cost`].
 /// Costs are summed in `u128`, so no hint can overflow the budget.
-fn plan(n: usize, workers: usize, grain: usize, cost: impl Fn(usize) -> u64) -> Vec<Chunk> {
+fn plan(n: usize, workers: usize, cost: impl Fn(usize) -> u64) -> Vec<Chunk> {
     let divisor = (CHUNK_DIVISOR * workers.max(1)) as u128;
-    let grain = grain.max(1);
     let cost = |i: usize| u128::from(cost(i).max(1));
     let mut remaining_cost: u128 = (0..n).map(cost).sum();
     let mut chunks = Vec::new();
@@ -252,7 +225,7 @@ fn plan(n: usize, workers: usize, grain: usize, cost: impl Fn(usize) -> u64) -> 
             spent += cost(start + len);
             len += 1;
         }
-        let len = len.max(grain).min(remaining);
+        let len = len.max(1).min(remaining);
         remaining_cost -= (start..start + len).map(cost).sum::<u128>();
         chunks.push(Chunk { start, len });
         start += len;
@@ -292,15 +265,15 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    dispatch(cfg, n, |workers, grain| plan_chunks(n, workers, grain), f)
+    dispatch(cfg, n, |workers| plan_chunks(n, workers), f)
 }
 
-/// The dispatch core: `plan_for(workers, grain)` builds the chunk plan
-/// once the spawning path has sized itself.
+/// The dispatch core: `plan_for(workers)` builds the chunk plan once
+/// the spawning path has sized itself.
 fn dispatch<R, F>(
     cfg: &PoolConfig,
     n: usize,
-    plan_for: impl FnOnce(usize, usize) -> Vec<Chunk>,
+    plan_for: impl FnOnce(usize) -> Vec<Chunk>,
     f: F,
 ) -> (Vec<R>, PoolStats)
 where
@@ -320,7 +293,6 @@ where
             workers_spawned: 0,
             assumed_parallelism: assumed,
             inline: true,
-            grain: n.max(1),
             plan: if n == 0 {
                 Vec::new()
             } else {
@@ -333,11 +305,7 @@ where
         return (results, stats);
     }
 
-    let grain = cfg
-        .grain
-        .map(|g| g.max(1))
-        .unwrap_or_else(|| auto_grain(n, workers));
-    let plan = plan_for(workers, grain);
+    let plan = plan_for(workers);
     // One shared cursor hands out *chunks*; each worker owns a private
     // run buffer, so the only cross-thread traffic is one fetch_add per
     // chunk and the final join.
@@ -409,7 +377,6 @@ where
         workers_spawned: workers,
         assumed_parallelism: assumed,
         inline: false,
-        grain,
         plan,
         per_worker_chunks,
         per_worker_items,
@@ -419,7 +386,7 @@ where
 }
 
 /// Runs `f(0..n)` across `threads` scoped workers and returns the
-/// results in index order (automatic grain, host parallelism).
+/// results in index order (host parallelism).
 ///
 /// With `threads <= 1`, a single job, or a single-hardware-thread host
 /// no worker is spawned and the jobs run inline in index order on the
@@ -484,7 +451,7 @@ where
     dispatch(
         cfg,
         items.len(),
-        |workers, grain| plan_chunks_by_cost(&costs, workers, grain),
+        |workers| plan_chunks_by_cost(&costs, workers),
         |i| f(i, &items[i]),
     )
 }
@@ -647,7 +614,7 @@ mod tests {
 
     #[test]
     fn plan_is_guided_and_exact() {
-        let plan = plan_chunks(1000, 4, 1);
+        let plan = plan_chunks(1000, 4);
         // Geometrically shrinking: first chunk is the biggest.
         assert_eq!(plan[0].start, 0);
         assert_eq!(plan[0].len, 125);
@@ -663,30 +630,13 @@ mod tests {
     }
 
     #[test]
-    fn grain_floors_the_plan() {
-        for c in plan_chunks(1000, 4, 100) {
-            assert!(c.len >= 100 || c.start + c.len == 1000);
-        }
-        // grain >= n collapses the plan to one chunk.
-        assert_eq!(plan_chunks(10, 4, 10), vec![Chunk { start: 0, len: 10 }]);
-        assert_eq!(plan_chunks(10, 4, 11), vec![Chunk { start: 0, len: 10 }]);
-        // grain 0 behaves as 1, and an empty input has an empty plan.
-        assert_eq!(plan_chunks(10, 2, 0).len(), plan_chunks(10, 2, 1).len());
-        assert!(plan_chunks(0, 4, 1).is_empty());
-    }
-
-    #[test]
-    fn auto_grain_scales_with_items_per_worker() {
-        assert_eq!(auto_grain(0, 4), 1);
-        assert_eq!(auto_grain(10, 4), 1);
-        assert_eq!(auto_grain(1000, 4), 31);
-        assert_eq!(auto_grain(1000, 0), 125);
+    fn empty_input_has_an_empty_plan() {
+        assert!(plan_chunks(0, 4).is_empty());
     }
 
     #[test]
     fn stats_reflect_the_dispatch() {
-        let cfg = forced(4).grain(1);
-        let (_, stats) = run(&cfg, 64, |i| i);
+        let (_, stats) = run(&forced(4), 64, |i| i);
         assert_eq!(stats.items, 64);
         assert_eq!(stats.requested_threads, 4);
         assert_eq!(stats.workers_spawned, 4);
@@ -710,7 +660,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn worker_panic_propagates() {
-        let _ = run(&forced(4).grain(1), 8, |i| {
+        let _ = run(&forced(4), 8, |i| {
             if i == 3 {
                 panic!("job 3 panicked");
             }

@@ -1,7 +1,7 @@
 //! PoolStats invariants: the chunk plan and the scheduling stats must
 //! describe a real, exact partition of the work.
 //!
-//! Three properties, each over adversarial `(n, workers, grain)` grids:
+//! Three properties, each over adversarial `(n, workers)` grids:
 //!
 //! 1. `plan_chunks` partitions `0..n` exactly — contiguous, no overlap,
 //!    no gap, every chunk non-empty.
@@ -15,7 +15,7 @@
 //! for unit costs, and must keep every chunk within its cost budget on
 //! the skewed fig16 shape it exists for.
 
-use simpar::{auto_grain, plan_chunks, plan_chunks_by_cost, Chunk, PoolConfig};
+use simpar::{plan_chunks, plan_chunks_by_cost, Chunk, PoolConfig};
 
 /// Adversarial item counts: empty, single, around powers of two, around
 /// typical worker counts, and a large one.
@@ -23,12 +23,6 @@ const NS: [usize; 17] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100,
 
 /// Worker counts: serial through oversubscribed.
 const WORKERS: [usize; 6] = [1, 2, 3, 4, 8, 16];
-
-/// Grain values probed for each `n` (plus `n`-relative ones added at
-/// the call site: 1, n, n+1).
-fn grains_for(n: usize) -> Vec<usize> {
-    vec![1, 2, 7, n.max(1), n + 1]
-}
 
 /// Asserts that `plan` partitions `0..n` exactly: contiguous, no
 /// overlap, no gap, every chunk non-empty.
@@ -54,10 +48,8 @@ fn assert_partition(plan: &[Chunk], n: usize, what: &str) {
 fn plan_partitions_index_space_exactly() {
     for n in NS {
         for workers in WORKERS {
-            for grain in grains_for(n) {
-                let plan = plan_chunks(n, workers, grain);
-                assert_partition(&plan, n, &format!("n={n} workers={workers} grain={grain}"));
-            }
+            let plan = plan_chunks(n, workers);
+            assert_partition(&plan, n, &format!("n={n} workers={workers}"));
         }
     }
 }
@@ -97,14 +89,8 @@ fn cost_plan_partitions_index_space_exactly() {
     for n in NS {
         for (name, costs) in adversarial_costs(n) {
             for workers in WORKERS {
-                for grain in grains_for(n) {
-                    let plan = plan_chunks_by_cost(&costs, workers, grain);
-                    assert_partition(
-                        &plan,
-                        n,
-                        &format!("{name} n={n} workers={workers} grain={grain}"),
-                    );
-                }
+                let plan = plan_chunks_by_cost(&costs, workers);
+                assert_partition(&plan, n, &format!("{name} n={n} workers={workers}"));
             }
         }
     }
@@ -116,13 +102,11 @@ fn cost_plan_partitions_index_space_exactly() {
 fn unit_costs_reproduce_plan_chunks() {
     for n in NS {
         for workers in WORKERS {
-            for grain in grains_for(n) {
-                assert_eq!(
-                    plan_chunks_by_cost(&vec![1; n], workers, grain),
-                    plan_chunks(n, workers, grain),
-                    "n={n} workers={workers} grain={grain}"
-                );
-            }
+            assert_eq!(
+                plan_chunks_by_cost(&vec![1; n], workers),
+                plan_chunks(n, workers),
+                "n={n} workers={workers}"
+            );
         }
     }
 }
@@ -136,7 +120,7 @@ fn fig16_shape_chunks_stay_within_budget() {
     let costs: Vec<u64> = (0..64).map(|i| if i < 16 { 60 } else { 1 }).collect();
     let workers = 2;
     let largest = costs.iter().copied().max().unwrap_or(1);
-    let plan = plan_chunks_by_cost(&costs, workers, 1);
+    let plan = plan_chunks_by_cost(&costs, workers);
     assert_partition(&plan, costs.len(), "fig16 shape");
     let mut remaining: u64 = costs.iter().sum();
     for c in &plan {
@@ -153,23 +137,7 @@ fn fig16_shape_chunks_stay_within_budget() {
         video_chunks >= 4,
         "Video cells must spread over several chunks, got {video_chunks}"
     );
-    assert_eq!(plan_chunks(64, workers, 1)[0].len, 16);
-}
-
-/// The auto grain never exceeds the input and never drops to zero, so
-/// the plan above is always well-formed under the default configuration.
-#[test]
-fn auto_grain_is_positive_and_bounded() {
-    for n in NS {
-        for workers in WORKERS {
-            let g = auto_grain(n, workers);
-            assert!(g >= 1, "auto grain 0 at n={n} workers={workers}");
-            assert!(
-                g <= n.max(1),
-                "auto grain {g} exceeds n={n} at workers={workers}"
-            );
-        }
-    }
+    assert_eq!(plan_chunks(64, workers)[0].len, 16);
 }
 
 /// Property 2: on the forced-parallel path, per-worker accounting sums
@@ -179,32 +147,28 @@ fn auto_grain_is_positive_and_bounded() {
 fn per_worker_accounting_sums_to_whole_job() {
     for n in NS.into_iter().filter(|&n| n >= 2) {
         for workers in [2, 3, 4, 8] {
-            for grain in grains_for(n) {
-                // assume_parallelism forces real spawning even on a
-                // single-core CI host, where the pool would otherwise
-                // (correctly) run inline.
-                let cfg = PoolConfig::new(workers)
-                    .grain(grain)
-                    .assume_parallelism(workers);
-                let (out, stats) = simpar::map_indexed_stats(&cfg, n, |i| i);
-                assert_eq!(out, (0..n).collect::<Vec<_>>());
-                assert!(!stats.inline, "n={n} workers={workers} ran inline");
-                assert_eq!(stats.items, n);
-                assert_eq!(stats.workers_spawned, workers.min(n));
-                assert_eq!(stats.per_worker_items.len(), stats.workers_spawned);
-                assert_eq!(stats.per_worker_chunks.len(), stats.workers_spawned);
-                assert_eq!(
-                    stats.per_worker_items.iter().sum::<usize>(),
-                    n,
-                    "worker item counts must sum to n={n} (workers={workers} grain={grain})"
-                );
-                assert_eq!(
-                    stats.per_worker_chunks.iter().sum::<usize>(),
-                    stats.plan.len(),
-                    "every chunk claimed exactly once (n={n} workers={workers} grain={grain})"
-                );
-                assert_eq!(stats.chunks_claimed(), stats.plan.len());
-            }
+            // assume_parallelism forces real spawning even on a
+            // single-core CI host, where the pool would otherwise
+            // (correctly) run inline.
+            let cfg = PoolConfig::new(workers).assume_parallelism(workers);
+            let (out, stats) = simpar::map_indexed_stats(&cfg, n, |i| i);
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
+            assert!(!stats.inline, "n={n} workers={workers} ran inline");
+            assert_eq!(stats.items, n);
+            assert_eq!(stats.workers_spawned, workers.min(n));
+            assert_eq!(stats.per_worker_items.len(), stats.workers_spawned);
+            assert_eq!(stats.per_worker_chunks.len(), stats.workers_spawned);
+            assert_eq!(
+                stats.per_worker_items.iter().sum::<usize>(),
+                n,
+                "worker item counts must sum to n={n} (workers={workers})"
+            );
+            assert_eq!(
+                stats.per_worker_chunks.iter().sum::<usize>(),
+                stats.plan.len(),
+                "every chunk claimed exactly once (n={n} workers={workers})"
+            );
+            assert_eq!(stats.chunks_claimed(), stats.plan.len());
         }
     }
 }

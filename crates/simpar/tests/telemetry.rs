@@ -9,8 +9,8 @@ use simpar::{telemetry, PoolConfig};
 #[test]
 fn telemetry_accumulates_and_resets() {
     telemetry::reset();
-    // One forced-spawn dispatch (2 workers, per-item chunks)…
-    let cfg = PoolConfig::new(2).assume_parallelism(2).grain(1);
+    // One forced-spawn dispatch (2 workers, guided chunks)…
+    let cfg = PoolConfig::new(2).assume_parallelism(2);
     let (out, stats) = simpar::map_indexed_stats(&cfg, 16, |i| i);
     assert_eq!(out.len(), 16);
     assert!(!stats.inline);

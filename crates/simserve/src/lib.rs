@@ -47,18 +47,38 @@ use machine::{CheckpointHook, ControlHook, Machine, MachineView, RunReport};
 use odyssey::{GoalHandle, SupervisorHandle};
 use simcore::{
     Checkpoint, RunJournal, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter,
-    TraceEvent, TraceHandle,
+    TraceEvent,
 };
 
 mod server;
 pub use machine::Directive;
 pub use server::{run_fleet, FleetOutcome, FleetSpec, Server, SessionHealth, SlotStats};
 
+/// Checkpoint cadence of a serving session: a digest proof point every
+/// 180 sim-seconds, eight over the ~1560 s supervised goal run.
+pub const CHECKPOINT_EVERY: SimDuration = SimDuration::from_secs(180);
+
+/// Retention bound of the dead-letter ledger; older entries are dropped
+/// (and counted) past this.
+pub const DEAD_LETTER_CAPACITY: usize = 64;
+
+/// Period of the actuator hook that applies quarantine/re-admit commands
+/// inside the event loop.
+const ACTUATION_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// Dead letters attributable to one process before the service posts an
+/// external strike to the Supervisor ladder.
+pub const ESCALATE_AFTER: u64 = 8;
+
+/// Samples per `ingest` call when a whole stream is fed through a
+/// session ([`run_fleet`], catch-up replay after a fault).
+pub const INGEST_BATCH: usize = 64;
+
 /// Service-layer failure. Every state-changing entry point returns
 /// `Result<_, ServeError>`: the service never panics on caller input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// A [`SessionConfig`] field failed validation at construction.
+    /// A construction argument failed validation.
     InvalidConfig(&'static str),
     /// The session already ran to its horizon (or the machine stopped);
     /// no further stepping is possible.
@@ -93,58 +113,6 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Configuration for a serving session.
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// Checkpoint cadence: a digest proof point every K sim-seconds.
-    pub checkpoint_every: SimDuration,
-    /// Hard end of the session's timeline; samples beyond it are
-    /// dead-lettered and [`Session::finish`] runs to exactly here.
-    pub horizon: SimTime,
-    /// Bounded capacity of the dead-letter ledger; older entries are
-    /// dropped (and counted) past this.
-    pub dead_letter_capacity: usize,
-    /// Period of the actuator hook that applies quarantine/re-admit
-    /// commands inside the event loop.
-    pub actuation_period: SimDuration,
-    /// Dead letters attributable to one process before the service posts
-    /// an external strike to the Supervisor ladder.
-    pub escalate_after: u64,
-}
-
-impl SessionConfig {
-    /// Serving defaults: 30 s checkpoints, 500 ms actuation, a 64-entry
-    /// dead-letter ledger, escalation after 8 dead letters per process.
-    pub fn standard(horizon: SimTime) -> SessionConfig {
-        SessionConfig {
-            checkpoint_every: SimDuration::from_secs(30),
-            horizon,
-            dead_letter_capacity: 64,
-            actuation_period: SimDuration::from_millis(500),
-            escalate_after: 8,
-        }
-    }
-
-    fn validate(&self) -> Result<(), ServeError> {
-        if self.checkpoint_every.is_zero() {
-            return Err(ServeError::InvalidConfig("checkpoint_every is zero"));
-        }
-        if self.horizon == SimTime::ZERO {
-            return Err(ServeError::InvalidConfig("horizon is zero"));
-        }
-        if self.dead_letter_capacity == 0 {
-            return Err(ServeError::InvalidConfig("dead_letter_capacity is zero"));
-        }
-        if self.actuation_period.is_zero() {
-            return Err(ServeError::InvalidConfig("actuation_period is zero"));
-        }
-        if self.escalate_after == 0 {
-            return Err(ServeError::InvalidConfig("escalate_after is zero"));
-        }
-        Ok(())
-    }
-}
 
 /// A live reconfiguration command, carried by a [`Sample`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -232,24 +200,14 @@ pub struct DeadLetter {
 #[derive(Clone, Debug, Default)]
 pub struct DeadLetterLedger {
     entries: VecDeque<DeadLetter>,
-    capacity: usize,
     total: u64,
     dropped: u64,
 }
 
 impl DeadLetterLedger {
-    fn new(capacity: usize) -> DeadLetterLedger {
-        DeadLetterLedger {
-            entries: VecDeque::new(),
-            capacity,
-            total: 0,
-            dropped: 0,
-        }
-    }
-
     fn push(&mut self, letter: DeadLetter) -> u64 {
         self.total += 1;
-        if self.entries.len() == self.capacity {
+        if self.entries.len() == DEAD_LETTER_CAPACITY {
             self.entries.pop_front();
             self.dropped += 1;
         }
@@ -282,9 +240,9 @@ impl DeadLetterLedger {
         self.entries.is_empty()
     }
 
-    /// The configured retention bound.
+    /// The retention bound, [`DEAD_LETTER_CAPACITY`].
     pub fn capacity(&self) -> usize {
-        self.capacity
+        DEAD_LETTER_CAPACITY
     }
 }
 
@@ -382,9 +340,10 @@ impl ControlHook for ServiceHook {
 /// The serving half of a [`Session`]: everything that exists only when
 /// the session was built with [`Session::serve`].
 struct Serving {
-    cfg: SessionConfig,
+    /// Hard end of the timeline: samples beyond it are dead-lettered and
+    /// [`Session::finish`] runs to exactly here. Live-reconfigurable.
+    horizon: SimTime,
     journal: Rc<RefCell<RunJournal>>,
-    trace: TraceHandle,
     inbox: Rc<RefCell<VecDeque<Actuation>>>,
     goal: Option<GoalHandle>,
     supervisor: Option<SupervisorHandle>,
@@ -420,49 +379,49 @@ impl fmt::Debug for Session {
 
 impl Session {
     /// Wraps a fully-built machine in serving mode: attaches the
-    /// checkpoint and actuator hooks, shares the trace, and returns a
-    /// session ready for [`Session::ingest`].
+    /// checkpoint and actuator hooks and opens the directive outbox, and
+    /// returns a session ready for [`Session::ingest`] that runs until
+    /// `horizon` (which must be positive).
     ///
     /// The caller builds the rig (processes, goal-controller hook,
-    /// supervisor hook) exactly as for a batch run, then hands it over
+    /// supervisor hook, and a trace via [`Machine::set_trace`] if it
+    /// wants one) exactly as for a batch run, then hands it over
     /// *before* running. `goal` enables goal/budget reconfiguration;
     /// `supervisor` enables dead-letter escalation.
     pub fn serve(
         mut machine: Machine,
         goal: Option<GoalHandle>,
         supervisor: Option<SupervisorHandle>,
-        trace: TraceHandle,
-        cfg: SessionConfig,
+        horizon: SimTime,
     ) -> Result<Session, ServeError> {
-        cfg.validate()?;
-        machine.set_trace(trace.clone());
+        if horizon == SimTime::ZERO {
+            return Err(ServeError::InvalidConfig("horizon is zero"));
+        }
         machine.open_outbox();
-        let journal = Rc::new(RefCell::new(RunJournal::new(cfg.checkpoint_every)));
+        let journal = Rc::new(RefCell::new(RunJournal::new(CHECKPOINT_EVERY)));
         machine.add_hook(
-            cfg.checkpoint_every,
+            CHECKPOINT_EVERY,
             Box::new(CheckpointHook::new(journal.clone())),
         );
         let inbox = Rc::new(RefCell::new(VecDeque::new()));
         machine.add_hook(
-            cfg.actuation_period,
+            ACTUATION_PERIOD,
             Box::new(ServiceHook {
                 inbox: inbox.clone(),
             }),
         );
-        let dead = DeadLetterLedger::new(cfg.dead_letter_capacity);
         Ok(Session {
             machine,
             cursor: SimTime::ZERO,
             stopped: false,
             finished: false,
             serving: Some(Serving {
-                cfg,
+                horizon,
                 journal,
-                trace,
                 inbox,
                 goal,
                 supervisor,
-                dead,
+                dead: DeadLetterLedger::default(),
                 dead_by_origin: BTreeMap::new(),
             }),
         })
@@ -513,7 +472,7 @@ impl Session {
         if self.finished {
             return Err(ServeError::Finished);
         }
-        let horizon = serving.cfg.horizon;
+        let horizon = serving.horizon;
         let report = self.machine.run_until(horizon);
         self.cursor = horizon;
         self.finished = true;
@@ -567,9 +526,12 @@ impl Session {
         w.put_bool(self.finished);
         w.put_bool(self.serving.is_some());
         if let Some(s) = &self.serving {
-            // Only the horizon is mutable config (live reconfig).
-            w.put_time(s.cfg.horizon);
-            s.trace.freeze_counters_into(&mut w);
+            w.put_time(s.horizon);
+            // The trace's ordering counters, if the rig attached one: a
+            // thawed shell was built identically, so it has one too.
+            if let Some(trace) = self.machine.trace() {
+                trace.freeze_counters_into(&mut w);
+            }
             w.put_u64(s.dead.total);
             w.put_u64(s.dead.dropped);
             w.put_usize(s.dead.entries.len());
@@ -594,8 +556,8 @@ impl Session {
     /// Restores a snapshot taken by [`Session::freeze`] onto this
     /// freshly-built session. The session must have been rebuilt from
     /// the *identical* configuration (same rig builder, same seed, same
-    /// [`SessionConfig`]); construction-time state is not in the
-    /// snapshot.
+    /// horizon, same trace attachment); construction-time state is not
+    /// in the snapshot.
     ///
     /// On any error the session is left partially mutated — discard it
     /// and fall back to replay. Corruption (flipped bits, truncation,
@@ -613,11 +575,13 @@ impl Session {
         }
         if let Some(s) = self.serving.as_mut() {
             let horizon = r.take_time()?;
-            s.trace.restore_counters_from(&mut r)?;
+            if let Some(trace) = self.machine.trace() {
+                trace.restore_counters_from(&mut r)?;
+            }
             let total = r.take_u64()?;
             let dropped = r.take_u64()?;
             let n = r.take_usize()?;
-            if n > s.cfg.dead_letter_capacity {
+            if n > DEAD_LETTER_CAPACITY {
                 return Err(SnapshotError::Corrupt("dead-letter ledger overflow"));
             }
             if dropped.checked_add(n as u64) != Some(total) {
@@ -649,7 +613,7 @@ impl Session {
                     return Err(SnapshotError::Corrupt("duplicate dead-letter origin"));
                 }
             }
-            s.cfg.horizon = horizon;
+            s.horizon = horizon;
             s.dead.total = total;
             s.dead.dropped = dropped;
             s.dead.entries = entries;
@@ -701,14 +665,12 @@ impl Session {
         self.serving.as_ref().map(|s| &s.dead)
     }
 
-    /// JSONL lines of the serving trace, rendered on demand from the
-    /// records its ring still holds (empty in batch mode) — the byte
-    /// stream two runs are compared over in the kill/resume proof.
+    /// JSONL lines of the machine's trace, rendered on demand from the
+    /// records its ring still holds (empty when the rig attached no
+    /// trace) — the byte stream two runs are compared over in the
+    /// kill/resume proof.
     pub fn trace_jsonl(&self) -> Vec<String> {
-        match &self.serving {
-            Some(s) => s.trace.jsonl(),
-            None => Vec::new(),
-        }
+        self.machine.trace().map(|t| t.jsonl()).unwrap_or_default()
     }
 
     /// Applies one sample: validate, advance, act. All rejection paths
@@ -731,7 +693,7 @@ impl Session {
             serving.dead_letter(&mut self.machine, self.cursor, sample, "out_of_order");
             return;
         }
-        if at > serving.cfg.horizon {
+        if at > serving.horizon {
             serving.dead_letter(&mut self.machine, self.cursor, sample, "beyond_horizon");
             return;
         }
@@ -789,7 +751,7 @@ impl Serving {
                 if horizon <= at {
                     Err(("horizon", "below_elapsed"))
                 } else {
-                    self.cfg.horizon = horizon;
+                    self.horizon = horizon;
                     Ok(("horizon", horizon.as_secs_f64()))
                 }
             }
@@ -823,7 +785,7 @@ impl Serving {
         if let Some(origin) = sample.origin {
             let per = self.dead_by_origin.entry(origin).or_insert(0);
             *per += 1;
-            if *per >= self.cfg.escalate_after {
+            if *per >= ESCALATE_AFTER {
                 *per = 0;
                 if let Some(sup) = &self.supervisor {
                     sup.post_external_strike(origin);
@@ -838,7 +800,6 @@ mod tests {
     use super::*;
     use machine::workload::ScriptedWorkload;
     use machine::{Activity, FidelityView, MachineConfig, Step, Workload};
-    use simcore::{TraceCategory, TraceSink};
 
     fn idle_machine(procs: usize, secs: u64) -> Machine {
         let mut m = Machine::new(MachineConfig::default());
@@ -903,72 +864,24 @@ mod tests {
         }
     }
 
-    fn service_trace() -> TraceHandle {
-        TraceHandle::new(TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE))
-    }
-
-    fn cfg(horizon_s: u64) -> SessionConfig {
-        SessionConfig {
-            checkpoint_every: SimDuration::from_secs(10),
-            horizon: SimTime::from_secs(horizon_s),
-            dead_letter_capacity: 4,
-            actuation_period: SimDuration::from_secs(1),
-            escalate_after: 3,
-        }
+    /// Serves `m` until `horizon_s`, with no goal, supervisor or trace.
+    fn served(m: Machine, horizon_s: u64) -> Session {
+        Session::serve(m, None, None, SimTime::from_secs(horizon_s)).expect("serve")
     }
 
     #[test]
-    fn serve_rejects_invalid_config() {
-        for (broken, what) in [
-            (
-                SessionConfig {
-                    checkpoint_every: SimDuration::ZERO,
-                    ..cfg(100)
-                },
-                "checkpoint_every",
-            ),
-            (
-                SessionConfig {
-                    horizon: SimTime::ZERO,
-                    ..cfg(100)
-                },
-                "horizon",
-            ),
-            (
-                SessionConfig {
-                    dead_letter_capacity: 0,
-                    ..cfg(100)
-                },
-                "dead_letter_capacity",
-            ),
-            (
-                SessionConfig {
-                    actuation_period: SimDuration::ZERO,
-                    ..cfg(100)
-                },
-                "actuation_period",
-            ),
-            (
-                SessionConfig {
-                    escalate_after: 0,
-                    ..cfg(100)
-                },
-                "escalate_after",
-            ),
-        ] {
-            let err = Session::serve(idle_machine(1, 60), None, None, service_trace(), broken)
-                .map(|_| ())
-                .expect_err(what);
-            assert!(matches!(err, ServeError::InvalidConfig(_)), "{what}");
-        }
+    fn serve_rejects_a_zero_horizon() {
+        let err = Session::serve(idle_machine(1, 60), None, None, SimTime::ZERO)
+            .map(|_| ())
+            .expect_err("zero horizon");
+        assert_eq!(err, ServeError::InvalidConfig("horizon is zero"));
     }
 
     #[test]
     fn ticks_advance_and_checkpoint() {
-        let mut s = Session::serve(idle_machine(1, 120), None, None, service_trace(), cfg(100))
-            .expect("serve");
+        let mut s = served(idle_machine(1, 1200), 1000);
         let out = s
-            .ingest(&[Sample::tick(15.0), Sample::tick(35.0)])
+            .ingest(&[Sample::tick(200.0), Sample::tick(400.0)])
             .expect("ingest");
         let cks: Vec<_> = out
             .iter()
@@ -977,26 +890,25 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(cks, vec![10.0, 20.0, 30.0]);
-        assert_eq!(s.cursor(), SimTime::from_secs(35));
-        assert_eq!(s.checkpoints().len(), 3);
-        let latest = s.checkpoints()[2];
+        assert_eq!(cks, vec![180.0, 360.0]);
+        assert_eq!(s.cursor(), SimTime::from_secs(400));
+        assert_eq!(s.checkpoints().len(), 2);
+        let latest = s.checkpoints()[1];
         assert!(s.verify_checkpoint(latest.t, latest.digest));
         assert!(!s.verify_checkpoint(latest.t, latest.digest ^ 1));
         let report = s.finish().expect("finish");
-        assert_eq!(report.end, SimTime::from_secs(100));
+        assert_eq!(report.end, SimTime::from_secs(1000));
         assert!(s.is_finished());
         assert_eq!(s.finish().expect_err("twice"), ServeError::Finished);
         assert_eq!(
-            s.ingest(&[Sample::tick(101.0)]).expect_err("finished"),
+            s.ingest(&[Sample::tick(1001.0)]).expect_err("finished"),
             ServeError::Finished
         );
     }
 
     #[test]
     fn malformed_input_is_dead_lettered_never_a_panic() {
-        let mut s = Session::serve(idle_machine(1, 120), None, None, service_trace(), cfg(100))
-            .expect("serve");
+        let mut s = served(idle_machine(1, 1200), 1000);
         let out = s
             .ingest(&[
                 Sample::tick(20.0),
@@ -1031,25 +943,27 @@ mod tests {
 
     #[test]
     fn dead_letter_ledger_is_bounded() {
-        let mut s = Session::serve(idle_machine(1, 120), None, None, service_trace(), cfg(100))
-            .expect("serve");
-        let junk: Vec<Sample> = (0..7).map(|_| Sample::tick(f64::NAN)).collect();
+        let mut s = served(idle_machine(1, 1200), 1000);
+        let junk: Vec<Sample> = (0..DEAD_LETTER_CAPACITY + 6)
+            .map(|_| Sample::tick(f64::NAN))
+            .collect();
         s.ingest(&junk).expect("ingest");
         let ledger = s.dead_letters().expect("serving");
-        assert_eq!(ledger.total(), 7);
-        assert_eq!(ledger.dropped(), 3);
-        assert_eq!(ledger.entries().count(), 4);
+        assert_eq!(ledger.total(), DEAD_LETTER_CAPACITY as u64 + 6);
+        assert_eq!(ledger.dropped(), 6);
+        assert_eq!(ledger.len(), ledger.capacity());
+        assert_eq!(ledger.entries().count(), DEAD_LETTER_CAPACITY);
     }
 
     #[test]
     fn samples_after_machine_stop_are_dead_lettered() {
         // A control hook stops the run at 10 s (the goal-met shape).
-        let mut m = idle_machine(1, 120);
+        let mut m = idle_machine(1, 1200);
         m.add_hook(
             SimDuration::from_secs(1),
             Box::new(StopAt(SimTime::from_secs(10))),
         );
-        let mut s = Session::serve(m, None, None, service_trace(), cfg(100)).expect("serve");
+        let mut s = served(m, 1000);
         let out = s
             .ingest(&[Sample::tick(50.0), Sample::tick(60.0)])
             .expect("ingest");
@@ -1065,14 +979,7 @@ mod tests {
 
     #[test]
     fn quarantine_and_readmit_actuate_at_the_next_tick() {
-        let mut s = Session::serve(
-            restartable_machine(2, 120),
-            None,
-            None,
-            service_trace(),
-            cfg(100),
-        )
-        .expect("serve");
+        let mut s = served(restartable_machine(2, 1200), 1000);
         let out = s
             .ingest(&[
                 Sample::reconfig(5.0, ReconfigCommand::Quarantine(1)),
@@ -1120,8 +1027,7 @@ mod tests {
 
     #[test]
     fn goal_and_budget_without_a_controller_are_rejected_not_panicked() {
-        let mut s = Session::serve(idle_machine(1, 120), None, None, service_trace(), cfg(100))
-            .expect("serve");
+        let mut s = served(idle_machine(1, 1200), 1000);
         let out = s
             .ingest(&[
                 Sample::reconfig(5.0, ReconfigCommand::Goal(SimDuration::from_secs(200))),

@@ -20,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use simcore::Checkpoint;
 
-use crate::{DeadLetterLedger, Directive, Sample, ServeError, Session};
+use crate::{DeadLetterLedger, Directive, Sample, ServeError, Session, INGEST_BATCH};
 
 /// Liveness of one server slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -327,7 +327,7 @@ fn restore(slot: &mut Slot<'_>) -> bool {
 /// accepted.
 fn feed_contained(session: &mut Session, samples: &[Sample]) -> bool {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        for chunk in samples.chunks(64) {
+        for chunk in samples.chunks(INGEST_BATCH) {
             if session.ingest(chunk).is_err() {
                 return false;
             }
@@ -360,17 +360,14 @@ pub struct FleetSpec<B> {
     // (manual Debug below: `B` is an opaque closure.)
     /// Rebuilds the session (identically on every call).
     pub builder: B,
-    /// The full input stream, fed in batches of [`FleetSpec::batch`].
+    /// The full input stream, fed in batches of [`INGEST_BATCH`].
     pub samples: Vec<Sample>,
-    /// Batch size (0 means 64).
-    pub batch: usize,
 }
 
 impl<B> std::fmt::Debug for FleetSpec<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSpec")
             .field("samples", &self.samples.len())
-            .field("batch", &self.batch)
             .finish_non_exhaustive()
     }
 }
@@ -378,14 +375,12 @@ impl<B> std::fmt::Debug for FleetSpec<B> {
 /// Runs each spec's whole session lifecycle on the deterministic work
 /// pool and merges the outcomes in index order: byte-identical results
 /// at any thread count. Sessions are single-threaded and share nothing;
-/// parallelism is across sessions, never within one. A session is the
-/// heaviest unit the pool ever schedules, so the fleet pins grain 1 —
-/// every chunk is one session, claimed as workers free up.
+/// parallelism is across sessions, never within one.
 pub fn run_fleet<B>(threads: usize, specs: &[FleetSpec<B>]) -> Vec<FleetOutcome>
 where
     B: Fn() -> Result<Session, ServeError> + Sync,
 {
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
+    let cfg = simcore::par::PoolConfig::new(threads);
     simcore::par::map_stats(&cfg, specs, |_, spec| run_spec(spec)).0
 }
 
@@ -407,10 +402,9 @@ where
     let Ok(id) = server.admit(Box::new(&spec.builder)) else {
         return dead("admission failed");
     };
-    let batch = if spec.batch == 0 { 64 } else { spec.batch };
     let mut directives = 0u64;
     let mut faults = 0u64;
-    for chunk in spec.samples.chunks(batch) {
+    for chunk in spec.samples.chunks(INGEST_BATCH) {
         match server.ingest(id, chunk) {
             Ok(out) => directives += out.len() as u64,
             Err(ServeError::Faulted) => faults += 1,
@@ -440,34 +434,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SessionConfig, SessionHealth as Health};
+    use crate::SessionHealth as Health;
     use machine::workload::ScriptedWorkload;
     use machine::{Activity, Machine, MachineConfig, Step, Workload};
-    use simcore::{SimDuration, SimTime, TraceCategory, TraceHandle, TraceSink};
+    use simcore::{SimDuration, SimTime};
 
-    fn service_trace() -> TraceHandle {
-        TraceHandle::new(TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE))
-    }
-
-    fn cfg(horizon_s: u64) -> SessionConfig {
-        SessionConfig {
-            checkpoint_every: SimDuration::from_secs(10),
-            horizon: SimTime::from_secs(horizon_s),
-            dead_letter_capacity: 8,
-            actuation_period: SimDuration::from_secs(1),
-            escalate_after: 4,
-        }
-    }
+    /// Horizon of the test sessions: past the second checkpoint.
+    const HORIZON: SimTime = SimTime::from_secs(400);
 
     fn idle_session(procs: usize) -> Result<Session, ServeError> {
         let mut m = Machine::new(MachineConfig::default());
         for _ in 0..procs {
             m.add_process(Box::new(ScriptedWorkload::idle_for(
                 "idle",
-                SimDuration::from_secs(200),
+                SimDuration::from_secs(500),
             )));
         }
-        Session::serve(m, None, None, service_trace(), cfg(100))
+        Session::serve(m, None, None, HORIZON)
     }
 
     /// Idles until a trigger instant, then panics on the next poll — the
@@ -506,9 +489,9 @@ mod tests {
         }));
         m.add_process(Box::new(ScriptedWorkload::idle_for(
             "idle",
-            SimDuration::from_secs(200),
+            SimDuration::from_secs(500),
         )));
-        Session::serve(m, None, None, service_trace(), cfg(100))
+        Session::serve(m, None, None, HORIZON)
     }
 
     #[test]
@@ -638,8 +621,7 @@ mod tests {
         let specs: Vec<FleetSpec<_>> = (0..4)
             .map(|i| FleetSpec {
                 builder: move || idle_session(1 + i % 2),
-                samples: (1..20).map(|k| Sample::tick(k as f64 * 4.0)).collect(),
-                batch: 3,
+                samples: (1..100).map(|k| Sample::tick(k as f64 * 4.0)).collect(),
             })
             .collect();
         let serial = run_fleet(1, &specs);

@@ -23,7 +23,7 @@ use energy_adaptation::hw560x::EnergySource;
 use energy_adaptation::machine::{CheckpointHook, Machine, MachineConfig, Workload};
 use energy_adaptation::odyssey::goal::MONITOR_OVERHEAD_W;
 use energy_adaptation::odyssey::{
-    GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor, SupervisorConfig,
+    GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor,
 };
 use energy_adaptation::simcore::fault::{FaultSchedule, FaultWindow};
 use energy_adaptation::simcore::{
@@ -90,12 +90,10 @@ fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> F
     let (handle, controller) = GoalController::new(cfg, priorities);
     m.add_hook(sample_period, controller);
     if supervised {
-        let sup_cfg = SupervisorConfig::standard();
-        let period = sup_cfg.period;
-        let (_sup_handle, mut sup) = Supervisor::new(sup_cfg);
+        let (_sup_handle, mut sup) = Supervisor::new();
         sup.watch(video_pid, vec![0.5, 0.8, 1.2, 2.0], 3);
         sup.attach_goal(handle.clone());
-        m.add_hook(period, sup);
+        m.add_hook(Supervisor::PERIOD, sup);
     }
     let journal = Rc::new(RefCell::new(RunJournal::new(CKPT_EVERY)));
     m.add_hook(CKPT_EVERY, Box::new(CheckpointHook::new(journal.clone())));
@@ -254,11 +252,12 @@ fn supervised_recovery_checkpoints_deterministically() {
 
 /// The torture sweep: the supervised k=2 *golden* scenario served
 /// through `simserve`, killed at **every** checkpoint boundary and
-/// resumed by replaying the identical sample stream. Each resume must
-/// pass through its salvaged checkpoint digest and end with a final
-/// state digest and an event-for-event simtrace byte-identical to the
-/// uninterrupted run — and the sweep's own output must be byte-identical
-/// whether the boundaries are verified on 1 worker thread or 4.
+/// resumed by replaying the identical sample stream. Each kill must
+/// salvage its own checkpoint, each resume must pass through the
+/// salvaged checkpoint digest and end with a final state digest and an
+/// event-for-event simtrace byte-identical to the uninterrupted run —
+/// and the sweep's own output must be byte-identical whether the
+/// boundaries are verified on 1 worker thread or 4.
 #[test]
 fn torture_kill_resume_at_every_checkpoint_boundary() {
     use energy_adaptation::experiments::serve;
@@ -269,8 +268,14 @@ fn torture_kill_resume_at_every_checkpoint_boundary() {
         serial.len() >= 4,
         "expected several checkpoint boundaries, got {serial:?}"
     );
-    for line in &serial {
+    for (k, line) in serial.iter().enumerate() {
         assert!(line.contains("resume OK"), "boundary failed: {line}");
+        // Boundary k salvages checkpoint k, taken every 180 s from 180 s.
+        let own = format!("boundary {k}: salvage t={}s ", 180 * (k + 1));
+        assert!(
+            line.starts_with(&own),
+            "boundary {k} salvaged elsewhere: {line}"
+        );
     }
     let par = serve::torture_sweep(GOLDEN_SEED, 1, 4).expect("torture sweep at 4 threads");
     assert_eq!(serial, par, "torture sweep diverges across thread counts");
@@ -376,4 +381,35 @@ fn snapshot_resume_digest_matches_replay_resume_at_1_and_4_threads() {
     let at1 = serve::run_sessions(GOLDEN_SEED, &samples, 2, 1).expect("fleet at 1 thread");
     let at4 = serve::run_sessions(GOLDEN_SEED, &samples, 2, 4).expect("fleet at 4 threads");
     assert_eq!(at1, at4, "fleet outcome depends on thread count");
+}
+
+/// Flat-state soak: a serving session's snapshot is O(state), not
+/// O(history). Frozen after the last sample of the golden stream, it is
+/// the same size whether the stream was fed at 1×, 10× or 100× density
+/// (709, 6,811 and 67,831 samples).
+#[test]
+fn snapshot_size_is_flat_across_replay_multiples() {
+    use energy_adaptation::experiments::serve;
+    use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
+
+    let sizes: Vec<(u32, usize, usize)> = [1, 10, 100]
+        .into_iter()
+        .map(|multiple| {
+            let samples = serve::schedule(multiple).expect("golden trace present");
+            // No boundary index is ever reached: the whole stream is fed,
+            // then the session is frozen.
+            let frozen = serve::freeze_at_boundary(GOLDEN_SEED, &samples, usize::MAX)
+                .expect("freeze after the last sample");
+            assert_eq!(frozen.samples_fed, samples.len());
+            (multiple, samples.len(), frozen.snapshot.len())
+        })
+        .collect();
+    assert!(
+        sizes[2].1 > 50 * sizes[0].1,
+        "100x stream not denser: {sizes:?}"
+    );
+    assert!(
+        sizes.iter().all(|&(_, _, bytes)| bytes == sizes[0].2),
+        "snapshot size grows with history: {sizes:?}"
+    );
 }

@@ -6,8 +6,7 @@
 //! would otherwise — correctly — take the inline path and the claiming
 //! machinery would never execute). Shapes covered: empty input, a
 //! single item, item counts straddling the worker count (threads ± 1),
-//! grain pinned to {1, len, len+1}, and a heavy/light skewed-cost
-//! workload where one in seven jobs costs ~100× the rest. The harness
+//! and a heavy/light skewed-cost workload where one in seven jobs costs ~100× the rest. The harness
 //! trial fan-out rides the same gauntlet end to end.
 //!
 //! Each run's PoolStats is appended to `target/scheduler_stress/` so a
@@ -43,13 +42,12 @@ impl StatsDump {
     fn push(&mut self, case: &str, stats: &PoolStats) {
         let _ = writeln!(
             self.lines,
-            "{}: items={} threads={} workers={} inline={} grain={} chunks={} per_worker_items={:?}",
+            "{}: items={} threads={} workers={} inline={} chunks={} per_worker_items={:?}",
             case,
             stats.items,
             stats.requested_threads,
             stats.workers_spawned,
             stats.inline,
-            stats.grain,
             stats.chunks_claimed(),
             stats.per_worker_items,
         );
@@ -84,7 +82,7 @@ fn adversarial_ns(threads: usize) -> Vec<usize> {
     ns
 }
 
-/// `map_indexed` under the full grid: every (threads, n, grain) cell is
+/// `map_indexed` under the full grid: every (threads, n) cell is
 /// byte-identical to the serial reference.
 #[test]
 fn map_indexed_identical_under_adversarial_shapes() {
@@ -92,17 +90,13 @@ fn map_indexed_identical_under_adversarial_shapes() {
     for threads in THREADS {
         for n in adversarial_ns(threads) {
             let serial: Vec<u64> = (0..n).map(skewed_job).collect();
-            for grain in [1, n.max(1), n + 1] {
-                let cfg = PoolConfig::new(threads)
-                    .grain(grain)
-                    .assume_parallelism(threads.max(2));
-                let (par, stats) = simpar::map_indexed_stats(&cfg, n, skewed_job);
-                dump.push(&format!("threads={threads} n={n} grain={grain}"), &stats);
-                assert_eq!(
-                    serial, par,
-                    "map_indexed diverges at threads={threads} n={n} grain={grain}"
-                );
-            }
+            let cfg = PoolConfig::new(threads).assume_parallelism(threads.max(2));
+            let (par, stats) = simpar::map_indexed_stats(&cfg, n, skewed_job);
+            dump.push(&format!("threads={threads} n={n}"), &stats);
+            assert_eq!(
+                serial, par,
+                "map_indexed diverges at threads={threads} n={n}"
+            );
         }
     }
     dump.flush();
@@ -122,18 +116,11 @@ fn map_identical_under_adversarial_shapes() {
                 .enumerate()
                 .map(|(i, &v)| skewed_job(i).wrapping_add(v))
                 .collect();
-            for grain in [1, n.max(1), n + 1] {
-                let cfg = PoolConfig::new(threads)
-                    .grain(grain)
-                    .assume_parallelism(threads.max(2));
-                let (par, stats) =
-                    simpar::map_stats(&cfg, &items, |i, &v| skewed_job(i).wrapping_add(v));
-                dump.push(&format!("threads={threads} n={n} grain={grain}"), &stats);
-                assert_eq!(
-                    serial, par,
-                    "map diverges at threads={threads} n={n} grain={grain}"
-                );
-            }
+            let cfg = PoolConfig::new(threads).assume_parallelism(threads.max(2));
+            let (par, stats) =
+                simpar::map_stats(&cfg, &items, |i, &v| skewed_job(i).wrapping_add(v));
+            dump.push(&format!("threads={threads} n={n}"), &stats);
+            assert_eq!(serial, par, "map diverges at threads={threads} n={n}");
         }
     }
     dump.flush();

@@ -14,12 +14,12 @@
     reason = "test helpers fail the test on a broken fixture"
 )]
 
-use energy_adaptation::experiments::serve::{build_session, schedule, CKPT_EVERY_S};
+use energy_adaptation::experiments::serve::{build_session, schedule};
 use energy_adaptation::experiments::supervise;
 use energy_adaptation::simcore::{
     SimDuration, SimRng, SimTime, TraceCategory, TraceHandle, TraceSink,
 };
-use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session, SessionConfig};
+use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session, ESCALATE_AFTER};
 
 const SEED: u64 = 42;
 
@@ -200,12 +200,12 @@ fn applied_goal_revision_moves_the_deadline() {
 #[test]
 fn dead_letter_flood_escalates_into_supervisor_strike() {
     let mut s = session();
-    // escalate_after is 8 in the standard config; blame the video app.
-    let flood: Vec<Sample> = (0..8)
+    // Exactly enough dead letters to escalate, all blamed on the video app.
+    let flood: Vec<Sample> = (0..ESCALATE_AFTER)
         .map(|_| Sample::tick(f64::NAN).from_origin(VIDEO))
         .collect();
     s.ingest(&flood).expect("flood must not kill the session");
-    assert_eq!(s.dead_letters().expect("serving").total(), 8);
+    assert_eq!(s.dead_letters().expect("serving").total(), ESCALATE_AFTER);
     // The strike is drained at the supervisor's next tick (1 s period).
     s.ingest(&[Sample::tick(30.0)]).expect("tick");
     let strikes: Vec<String> = s
@@ -217,27 +217,21 @@ fn dead_letter_flood_escalates_into_supervisor_strike() {
 }
 
 /// The serve rig (supervised k=2 at [`SEED`]) behind an arbitrary trace
-/// sink.
-fn session_with(sink: TraceSink) -> Session {
+/// sink, or with no trace attached at all.
+fn session_with(sink: Option<TraceSink>) -> Session {
     let mut rng = SimRng::new(SEED).fork_indexed("supervise/2", 0);
-    let rig = supervise::build_one(2, true, &mut rng);
-    let cfg = SessionConfig {
-        checkpoint_every: SimDuration::from_secs(CKPT_EVERY_S),
-        ..SessionConfig::standard(rig.horizon)
-    };
-    Session::serve(
-        rig.machine,
-        Some(rig.goal),
-        rig.supervisor,
-        TraceHandle::new(sink),
-        cfg,
-    )
-    .expect("supervised rig")
+    let mut rig = supervise::build_one(2, true, &mut rng);
+    if let Some(sink) = sink {
+        rig.machine.set_trace(TraceHandle::new(sink));
+    }
+    Session::serve(rig.machine, Some(rig.goal), rig.supervisor, rig.horizon)
+        .expect("supervised rig")
 }
 
 /// Directives are a channel of their own, not a reading of the trace:
-/// the stream is identical under every category mask (even none) and
-/// at ring capacity 1, and a capacity-1 trace holds at most one line.
+/// the stream is identical under every category mask (even none), at
+/// ring capacity 1 and with no trace attached, and a capacity-1 trace
+/// holds at most one line.
 #[test]
 fn directives_do_not_depend_on_the_trace_sink() {
     // One dead letter, then a quarantine and re-admit of the video app,
@@ -262,7 +256,7 @@ fn directives_do_not_depend_on_the_trace_sink() {
         );
     }
 
-    let run = |sink: TraceSink| {
+    let run = |sink: Option<TraceSink>| {
         let mut s = session_with(sink);
         let mut out = Vec::new();
         for chunk in samples.chunks(64) {
@@ -272,7 +266,7 @@ fn directives_do_not_depend_on_the_trace_sink() {
     };
     use TraceCategory::{Control, Fault, Net, Service, Supervisor};
     let serve5 = [Net, Fault, Control, Supervisor, Service];
-    let (all, _) = run(TraceSink::new());
+    let (all, _) = run(Some(TraceSink::new()));
     let v = verdicts(&all);
     assert_eq!(v, [("quarantine", "applied"), ("readmit", "applied")]);
     let has = |f: fn(&Directive) -> bool| all.iter().any(f);
@@ -283,16 +277,20 @@ fn directives_do_not_depend_on_the_trace_sink() {
     for (name, sink) in [
         (
             "control plane",
-            TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE),
+            Some(TraceSink::new().with_categories(&TraceCategory::CONTROL_PLANE)),
         ),
-        ("serve rig", TraceSink::new().with_categories(&serve5)),
-        ("no categories", TraceSink::new().with_categories(&[])),
-        ("capacity 1", TraceSink::new().with_capacity(1)),
+        ("serve rig", Some(TraceSink::new().with_categories(&serve5))),
+        ("no categories", Some(TraceSink::new().with_categories(&[]))),
+        ("capacity 1", Some(TraceSink::new().with_capacity(1))),
+        ("no trace", None),
     ] {
         let (out, lines) = run(sink);
         assert_eq!(out, all, "{name}: directive stream differs");
         if name == "capacity 1" {
             assert!(lines <= 1, "capacity-1 trace rendered {lines} lines");
+        }
+        if name == "no trace" {
+            assert_eq!(lines, 0, "a session without a trace rendered {lines} lines");
         }
     }
 }
